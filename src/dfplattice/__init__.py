@@ -21,7 +21,6 @@ from .spectral import (
     restrict_field,
 )
 from .operators import (
-    Multiplier,
     dirac_apply,
     dirac_multiplier,
     dirac_symbol,

@@ -11,6 +11,7 @@ applied before the numeric stack loads.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -113,6 +114,21 @@ def _manifest(cfg: dict, spec, extra: Optional[dict] = None) -> dict:
     return doc
 
 
+def _write_output(cfg: dict, payload: str, manifest: Optional[dict] = None) -> None:
+    """Write the payload to --out (plus ``<out>.manifest.json`` if given), else to stdout."""
+    from .fieldio import dumps_json
+
+    out = cfg.get("out")
+    if not out:
+        sys.stdout.write(payload)
+        return
+    with open(out, "w") as fh:
+        fh.write(payload)
+    if manifest is not None:
+        with open(out + ".manifest.json", "w") as fh:
+            fh.write(dumps_json(manifest))
+
+
 def _emit_field(field, cfg: dict, spec, extra: Optional[dict] = None) -> None:
     """Write the field (+ manifest) in the requested format."""
     import io as _io
@@ -120,26 +136,14 @@ def _emit_field(field, cfg: dict, spec, extra: Optional[dict] = None) -> None:
     from .fieldio import dumps_json, field_to_json, write_field_csv
 
     manifest = _manifest(cfg, spec, extra)
-    out = cfg.get("out")
     if cfg["format"] == "json":
         doc = field_to_json(field)
         doc["manifest"] = manifest
-        payload = dumps_json(doc)
-        if out:
-            with open(out, "w") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload)
+        _write_output(cfg, dumps_json(doc))
         return
     buf = _io.StringIO()
     write_field_csv(field, buf)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(buf.getvalue())
-        with open(out + ".manifest.json", "w") as fh:
-            fh.write(dumps_json(manifest))
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write_output(cfg, buf.getvalue(), manifest)
 
 
 def _complex_json(z: complex):
@@ -263,12 +267,7 @@ def _cmd_specfun(args) -> int:
         raise ValueError(f"unknown function {fn}")
     from .fieldio import dumps_json
 
-    payload = dumps_json(doc)
-    if cfg.get("out"):
-        with open(cfg["out"], "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _write_output(cfg, dumps_json(doc))
     return EXIT_OK
 
 
@@ -297,12 +296,7 @@ def _cmd_mellin_barnes(args) -> int:
         "tail_bound": res.tail_bound,
         "status": res.status,
     }
-    payload = dumps_json(doc)
-    if cfg.get("out"):
-        with open(cfg["out"], "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _write_output(cfg, dumps_json(doc))
     return EXIT_OK
 
 
@@ -310,41 +304,30 @@ def _cmd_dump_multiplier(args) -> int:
     import csv as _csv
     import io as _io
 
-    from .fieldio import dumps_json
-    from .operators import symbol_tables
+    from .operators import dirac_multiplier, symbol_tables
 
     cfg = _merge_config(args)
     spec = _grid(cfg)
-    tab = symbol_tables(spec)
+    d2 = symbol_tables(spec).d2
     kind = str(cfg["kind"])
     buf = _io.StringIO()
     writer = _csv.writer(buf, lineterminator="\n")
     header = [f"k{j + 1}" for j in range(spec.n)] + ["d2"]
     if kind == "dirac":
+        z = dirac_multiplier(spec).values
         for j in range(spec.n):
             header += [f"z{j + 1}_re", f"z{j + 1}_im", f"z{spec.n + j + 1}_re", f"z{spec.n + j + 1}_im"]
     writer.writerow(header)
-    modes = spec.momentum_indices()
-    import itertools
-
-    import numpy as np
-
-    for idx in itertools.product(range(spec.N), repeat=spec.n):
-        row = [int(modes[i]) for i in idx] + [repr(float(tab.d2[idx]))]
+    # rows in ascending signed mode number, read from the FFT-ordered tables
+    for modes in itertools.product(range(1 - spec.N // 2, spec.N // 2 + 1), repeat=spec.n):
+        idx = tuple(k % spec.N for k in modes)
+        row = list(modes) + [repr(float(d2[idx]))]
         if kind == "dirac":
             for j in range(spec.n):
-                zj = -1j * tab.vec_sin[j][idx]
-                znj = complex(tab.vec_cos[j][idx])
+                zj, znj = complex(z[(1 << j,) + idx]), complex(z[(1 << (spec.n + j),) + idx])
                 row += [repr(zj.real), repr(zj.imag), repr(znj.real), repr(znj.imag)]
         writer.writerow(row)
-    out = cfg.get("out")
-    if out:
-        with open(out, "w") as fh:
-            fh.write(buf.getvalue())
-        with open(out + ".manifest.json", "w") as fh:
-            fh.write(dumps_json(_manifest(cfg, spec, {"command": "dump-multiplier", "kind": kind})))
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write_output(cfg, buf.getvalue(), _manifest(cfg, spec, {"command": "dump-multiplier", "kind": kind}))
     return EXIT_OK
 
 

@@ -2,7 +2,8 @@
 
 Row schema (both kinds): k1,..,kn,mask,re,im -- one row per (site, blade)
 with a nonzero coefficient, lexicographically ordered.  Site fields index
-sites 0..N-1; momentum fields use the signed mode numbers -N/2+1..N/2.
+sites 0..N-1; momentum fields use the signed mode numbers -N/2+1..N/2, so
+their rows run in ascending k although the arrays are stored in FFT order.
 Floats are written as shortest round-trip reprs, so identical data produces
 identical bytes and a write/read cycle is exact.
 """
@@ -48,14 +49,13 @@ def _header(n: int) -> List[str]:
 def field_rows(field: Union[Field, MomentumField]) -> Iterable[Tuple]:
     """Nonzero (indices..., mask, re, im) rows in lexicographic order."""
     spec = field.spec
-    momentum = isinstance(field, MomentumField)
-    offset = -spec.N // 2 + 1 if momentum else 0
+    labels = spec.momentum_indices().tolist() if isinstance(field, MomentumField) else range(spec.N)
     nz = np.argwhere(field.values != 0)
     rows = []
     for entry in nz:
         mask, idx = int(entry[0]), tuple(int(v) for v in entry[1:])
         v = field.values[(mask,) + idx]
-        rows.append(tuple(i + offset for i in idx) + (mask, float(v.real), float(v.imag)))
+        rows.append(tuple(labels[i] for i in idx) + (mask, float(v.real), float(v.imag)))
     rows.sort(key=lambda r: r[: spec.n] + (r[spec.n],))
     return rows
 
@@ -73,11 +73,11 @@ def read_field_csv(fh, spec: GridSpec, momentum: bool = False):
     if header != _header(spec.n):
         raise ValueError(f"unexpected CSV header {header}")
     vals = np.zeros((spec.nblades,) + spec.site_shape, dtype=complex)
-    offset = -spec.N // 2 + 1 if momentum else 0
+    index = spec.mode_index if momentum else int
     for row in reader:
         if not row:
             continue
-        idx = tuple(int(v) - offset for v in row[: spec.n])
+        idx = tuple(index(v) for v in row[: spec.n])
         mask = int(row[spec.n])
         vals[(mask,) + idx] = complex(float(row[spec.n + 1]), float(row[spec.n + 2]))
     cls = MomentumField if momentum else Field

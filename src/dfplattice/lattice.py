@@ -4,7 +4,9 @@ Sites live on the uniform grid h*Z^n modulo N*h; the fractional parameter
 alpha never changes the storage grid -- it enters only through the Fourier
 symbol of the Dirac operator (see :mod:`dfplattice.operators`).  Momentum
 nodes are xi_k = 2*pi*k/(N*h) with k in {-N/2+1, ..., N/2} per axis, all
-inside the zone (-pi/h, pi/h].
+inside the zone (-pi/h, pi/h].  Momentum arrays are stored in FFT order:
+mode k sits at index k % N, so the Nyquist node k = N/2 (xi = +pi/h) sits at
+index N/2.
 """
 
 from __future__ import annotations
@@ -79,11 +81,19 @@ class GridSpec:
         return float(self.alpha)
 
     def momentum_indices(self) -> np.ndarray:
-        """Per-axis integer mode numbers, ascending: -N/2+1 .. N/2."""
-        return np.arange(-self.N // 2 + 1, self.N // 2 + 1)
+        """Per-axis signed mode number at each storage index: 0 .. N/2, -N/2+1 .. -1."""
+        k = np.arange(self.N)
+        return np.where(k <= self.N // 2, k, k - self.N)
+
+    def mode_index(self, k: int) -> int:
+        """Storage index of the signed mode number k, which must lie in (-N/2, N/2]."""
+        k = int(k)
+        if not -self.N // 2 < k <= self.N // 2:
+            raise ValueError(f"mode number {k} outside (-N/2, N/2] for N = {self.N}")
+        return k % self.N
 
     def xi_axis(self) -> np.ndarray:
-        """Per-axis momentum node values 2*pi*k/(N*h)."""
+        """Per-axis momentum node values 2*pi*k/(N*h), in storage order."""
         return 2.0 * np.pi * self.momentum_indices() / (self.N * self.h)
 
     def xi_grids(self):

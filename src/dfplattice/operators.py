@@ -21,7 +21,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .clifford import Multivector, generator_tables
+from .clifford import Multivector, generator_tables, num_blades
 from .lattice import Field, GridSpec
 from .spectral import MomentumField, dft_forward, dft_inverse
 
@@ -34,7 +34,6 @@ __all__ = [
     "dirac_apply",
     "apply_scalar_symbol",
     "apply_dirac_symbol_arrays",
-    "Multiplier",
     "laplacian_multiplier",
     "dirac_multiplier",
 ]
@@ -45,35 +44,50 @@ def _check_in_zone(xi: Sequence[float], spec: GridSpec) -> None:
     if len(xi) != spec.n:
         raise ValueError(f"momentum point has {len(xi)} components, expected {spec.n}")
     for c in xi:
-        if not (-bound - 1e-9 < c <= bound + 1e-9):
+        # rounding allowance at the closed end only: -pi/h is not in the zone,
+        # and z(xi) differs there from the Nyquist node +pi/h for alpha > 0
+        if not (-bound < c <= bound + 1e-9):
             raise ValueError(f"momentum component {c} outside (-pi/h, pi/h]")
+
+
+def _laplacian_term(xi, h: float):
+    """One axis of d(xi)^2: (4/h^2) sin^2(h xi / 2)."""
+    return 4.0 / h**2 * np.sin(h * xi / 2.0) ** 2
+
+
+def _dirac_coefficients(xi, h: float, a: float):
+    """One axis of z(xi): the e_j coefficient divided by -i, and the e_{n+j} coefficient."""
+    return (
+        (np.sin((1.0 - a) * h * xi) + np.sin(a * h * xi)) / h,
+        (np.cos(a * h * xi) - np.cos((1.0 - a) * h * xi)) / h,
+    )
+
+
+def _dirac_blades(vec_sin: Sequence, vec_cos: Sequence, n: int) -> np.ndarray:
+    """Blade array of z from its per-axis coefficients (scalars or node arrays)."""
+    vals = np.zeros((num_blades(n),) + np.shape(vec_sin[0]), dtype=complex)
+    for j in range(n):
+        vals[1 << j] = -1j * vec_sin[j]
+        vals[1 << (n + j)] = vec_cos[j]
+    return vals
 
 
 def laplacian_symbol(xi: Sequence[float], spec: GridSpec) -> float:
     """d(xi)^2 = (4/h^2) sum_j sin^2(h xi_j / 2), the symbol of -Laplacian."""
     _check_in_zone(xi, spec)
-    h = spec.h
-    return float(sum(4.0 / h**2 * np.sin(h * c / 2.0) ** 2 for c in xi))
+    return float(sum(_laplacian_term(c, spec.h) for c in xi))
 
 
 def dirac_symbol(xi: Sequence[float], spec: GridSpec) -> Multivector:
     """Clifford vector symbol of the Dirac operator at one momentum point."""
     _check_in_zone(xi, spec)
-    n, h, a = spec.n, spec.h, spec.alpha_float
-    coeffs = {}
-    for j, c in enumerate(xi):
-        sj = (np.sin((1.0 - a) * h * c) + np.sin(a * h * c)) / h
-        cj = (np.cos(a * h * c) - np.cos((1.0 - a) * h * c)) / h
-        if sj != 0.0:
-            coeffs[1 << j] = -1j * sj
-        if cj != 0.0:
-            coeffs[1 << (n + j)] = cj
-    return Multivector(coeffs, n)
+    vec_sin, vec_cos = zip(*(_dirac_coefficients(c, spec.h, spec.alpha_float) for c in xi))
+    return Multivector.from_array(_dirac_blades(vec_sin, vec_cos, spec.n), spec.n)
 
 
 @dataclass(frozen=True)
 class SymbolTables:
-    """Per-grid symbol data on the full momentum node grid (immutable, shared)."""
+    """Per-grid symbol data on the full momentum node grid, in FFT order (immutable, shared)."""
 
     spec: GridSpec
     d2: np.ndarray            # (N,)*n, symbol of -Laplacian, real >= 0
@@ -84,14 +98,14 @@ class SymbolTables:
 @lru_cache(maxsize=128)
 def symbol_tables(spec: GridSpec) -> SymbolTables:
     grids = spec.xi_grids()
-    h, a = spec.h, spec.alpha_float
     d2 = np.zeros(spec.site_shape)
     vsin: List[np.ndarray] = []
     vcos: List[np.ndarray] = []
     for g in grids:
-        d2 = d2 + 4.0 / h**2 * np.sin(h * g / 2.0) ** 2
-        vsin.append((np.sin((1.0 - a) * h * g) + np.sin(a * h * g)) / h)
-        vcos.append((np.cos(a * h * g) - np.cos((1.0 - a) * h * g)) / h)
+        d2 = d2 + _laplacian_term(g, spec.h)
+        s, c = _dirac_coefficients(g, spec.h, spec.alpha_float)
+        vsin.append(s)
+        vcos.append(c)
     d2.setflags(write=False)
     for arr in (*vsin, *vcos):
         arr.setflags(write=False)
@@ -141,45 +155,12 @@ def dirac_apply(f: Field) -> Field:
     return dft_inverse(MomentumField(f.spec, out, _copy=False))
 
 
-@dataclass(frozen=True)
-class Multiplier:
-    """Symbol table viewed as a Multivector per momentum node."""
-
-    kind: str            # "laplacian" | "dirac"
-    spec: GridSpec
-
-    def value_at(self, mode: Tuple[int, ...]) -> Multivector:
-        tab = symbol_tables(self.spec)
-        idx = tuple(int(m) for m in mode)
-        if self.kind == "laplacian":
-            return Multivector.scalar(float(tab.d2[idx]), self.spec.n)
-        coeffs = {}
-        n = self.spec.n
-        for j in range(n):
-            s = tab.vec_sin[j][idx]
-            c = tab.vec_cos[j][idx]
-            if s != 0.0:
-                coeffs[1 << j] = -1j * s
-            if c != 0.0:
-                coeffs[1 << (n + j)] = c
-        return Multivector(coeffs, n)
-
-    def to_momentum_field(self) -> MomentumField:
-        tab = symbol_tables(self.spec)
-        spec = self.spec
-        vals = np.zeros((spec.nblades,) + spec.site_shape, dtype=complex)
-        if self.kind == "laplacian":
-            vals[0] = tab.d2
-        else:
-            for j in range(spec.n):
-                vals[1 << j] = -1j * tab.vec_sin[j]
-                vals[1 << (spec.n + j)] = tab.vec_cos[j]
-        return MomentumField(spec, vals, _copy=False)
+def laplacian_multiplier(spec: GridSpec) -> MomentumField:
+    """The symbol d(xi)^2 of -Laplacian as a scalar MomentumField."""
+    return MomentumField.from_blade_array(spec, 0, symbol_tables(spec).d2)
 
 
-def laplacian_multiplier(spec: GridSpec) -> Multiplier:
-    return Multiplier("laplacian", spec)
-
-
-def dirac_multiplier(spec: GridSpec) -> Multiplier:
-    return Multiplier("dirac", spec)
+def dirac_multiplier(spec: GridSpec) -> MomentumField:
+    """The Dirac symbol z(xi) as a MomentumField."""
+    tab = symbol_tables(spec)
+    return MomentumField(spec, _dirac_blades(tab.vec_sin, tab.vec_cos, spec.n), _copy=False)

@@ -305,7 +305,7 @@ def bessel_i_scaled(k: int, z: float) -> float:
         term *= q / ((m + 1.0) * (m + 1.0 + k))
         total += term
         m += 1
-        if term < 1e-18 * total:
+        if term <= 1e-18 * total:  # also stops once the terms underflow to 0
             break
     return float(total)
 

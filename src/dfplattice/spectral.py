@@ -12,7 +12,9 @@ Conventions (fixed once, used everywhere):
   F^-1[(2 pi)^(-n/2) m].
 
 Transforms run as one FFT per blade component; an O(N^2) direct-sum twin
-lives in the test suite as the independent oracle.
+lives in the test suite as the independent oracle.  Momentum arrays keep the
+FFT's natural order (mode k at index k % N, see :class:`GridSpec`), so a
+transform is one scaled FFT with no reordering.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ CONVOLUTION_CONSTANT_POWER = 0.5
 
 
 class MomentumField:
-    """A Multivector per momentum node, blade-major, node order ascending k."""
+    """A Multivector per momentum node, blade-major, nodes in FFT order (mode k at index k % N)."""
 
     __slots__ = ("spec", "values")
 
@@ -58,8 +60,8 @@ class MomentumField:
         return cls(spec, vals, _copy=False)
 
     def mv(self, mode: tuple) -> Multivector:
-        """Multivector at one node, indexed by position in the ascending-k grid."""
-        idx = (slice(None),) + tuple(int(m) for m in mode)
+        """Multivector at the node with signed mode numbers ``mode``, each in (-N/2, N/2]."""
+        idx = (slice(None),) + tuple(self.spec.mode_index(k) for k in mode)
         return Multivector.from_array(self.values[idx], self.spec.n)
 
     def _require_same_spec(self, other: "MomentumField") -> None:
@@ -82,34 +84,19 @@ class MomentumField:
         return float(np.max(np.abs(self.values - other.values)))
 
 
-def _fft_to_ordered(vals: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """FFT natural mode order -> ascending k in {-N/2+1, .., N/2} per axis."""
-    out = np.fft.fftshift(vals, axes=spec.site_axes)
-    for ax in spec.site_axes:
-        out = np.roll(out, -1, axis=ax)
-    return out
-
-
-def _ordered_to_fft(vals: np.ndarray, spec: GridSpec) -> np.ndarray:
-    out = vals
-    for ax in spec.site_axes:
-        out = np.roll(out, 1, axis=ax)
-    return np.fft.ifftshift(out, axes=spec.site_axes)
-
-
 def dft_forward(f: Field) -> MomentumField:
     """Forward transform, componentwise per blade."""
     spec = f.spec
     scale = spec.cell_volume * (2.0 * np.pi) ** (-spec.n / 2.0) * spec.nsites
     vals = np.fft.ifftn(f.values, axes=spec.site_axes) * scale
-    return MomentumField(spec, _fft_to_ordered(vals, spec), _copy=False)
+    return MomentumField(spec, vals, _copy=False)
 
 
 def dft_inverse(F: MomentumField) -> Field:
     """Inverse transform; exact inverse of :func:`dft_forward` on the truncation."""
     spec = F.spec
     scale = (2.0 * np.pi) ** (-spec.n / 2.0) * spec.momentum_weight
-    vals = np.fft.fftn(_ordered_to_fft(F.values, spec), axes=spec.site_axes) * scale
+    vals = np.fft.fftn(F.values, axes=spec.site_axes) * scale
     return Field(spec, vals, _copy=False)
 
 
@@ -137,9 +124,10 @@ def refine_field(f: Field, factor: int) -> Field:
     """Embed a field into the grid refined by ``factor`` (spacing h/factor).
 
     The embedding zero-pads the momentum data, i.e. extends the field as the
-    trigonometric polynomial it already is; restricting back to the coarse
-    sites recovers the input exactly.  Used by the stencil cross-checks for
-    Dirac shifts that leave the storage grid.
+    trigonometric polynomial it already is: coarse mode k, Nyquist node
+    included, lands on fine mode k.  Restricting back to the coarse sites
+    recovers the input exactly.  Used by the stencil cross-checks for Dirac
+    shifts that leave the storage grid.
     """
     if factor < 1:
         raise ValueError("refinement factor must be >= 1")
@@ -149,9 +137,8 @@ def refine_field(f: Field, factor: int) -> Field:
     fine = GridSpec(spec.n, spec.h / factor, spec.alpha, spec.N * factor)
     F = dft_forward(f)
     vals = np.zeros((spec.nblades,) + fine.site_shape, dtype=complex)
-    lo = fine.N // 2 - spec.N // 2
-    sl = (slice(None),) + (slice(lo, lo + spec.N),) * spec.n
-    vals[sl] = F.values
+    fine_index = spec.momentum_indices() % fine.N
+    vals[(slice(None),) + np.ix_(*[fine_index] * spec.n)] = F.values
     return dft_inverse(MomentumField(fine, vals, _copy=False))
 
 

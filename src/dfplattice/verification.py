@@ -271,7 +271,7 @@ def check_square_condition(
             for alpha in alphas:
                 spec = GridSpec(n, h, alpha, N)
                 tab = symbol_tables(spec)
-                zvals = dirac_multiplier(spec).to_momentum_field().values
+                zvals = dirac_multiplier(spec).values
                 sq = geometric_product_arrays(zvals, zvals, spec.n)
                 worst = max(worst, float(np.max(np.abs(sq[0] - tab.d2))))
                 for m in range(1, spec.nblades):

@@ -8,10 +8,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dfplattice
 from dfplattice.cli import main
 from dfplattice.fieldio import read_field_csv, write_field_csv
 from dfplattice.lattice import GridSpec, delta_h
 from dfplattice.solver import ModelParams, dfp_evolve, klein_gordon_evolve
+
+
+def cli_env(**extra):
+    """Environment in which ``python -m dfplattice.cli`` imports the package under test."""
+    src = os.path.dirname(os.path.dirname(dfplattice.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def run_cli(args, capsys):
@@ -52,7 +60,7 @@ def test_evolve_matches_library(tmp_path, capsys):
 
 
 def test_determinism_bit_identical(tmp_path):
-    env = dict(os.environ, PYTHONHASHSEED="0")
+    env = cli_env(PYTHONHASHSEED="0")
     cmd = [sys.executable, "-m", "dfplattice.cli", "subordinate", "--dim", "1",
            "--points", "8", "--t", "0.4", "--hurst", "0.7"]
     a = subprocess.run(cmd, capture_output=True, env=env, cwd=os.getcwd())
@@ -227,6 +235,7 @@ def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "dfplattice.cli", "evolve", "--bogus-flag", "1"],
         capture_output=True,
+        env=cli_env(),
     )
     assert proc.returncode == 2
 
@@ -240,7 +249,7 @@ def test_numeric_error_exit_code(capsys):
 
 
 def test_thread_cap_env(tmp_path):
-    env = dict(os.environ, DFP_THREADS="1")
+    env = cli_env(DFP_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "dfplattice.cli", "specfun", "--fn", "gamma", "--s", "2.0"],
         capture_output=True,

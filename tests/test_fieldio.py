@@ -61,6 +61,9 @@ def test_momentum_csv_signed_indices():
     G = read_field_csv(buf, spec, momentum=True)
     assert isinstance(G, MomentumField)
     assert np.array_equal(F.values, G.values)
+    # k = -N/2 is not a node of the grid (the Nyquist node is +N/2)
+    with pytest.raises(ValueError):
+        read_field_csv(io.StringIO("k1,mask,re,im\n-2,0,1.0,0.0\n"), spec, momentum=True)
 
 
 def test_csv_header_mismatch_raises():

@@ -33,7 +33,12 @@ def test_momentum_nodes_in_zone():
     spec = GridSpec(1, 0.5, Fraction(1, 4), 8)
     xi = spec.xi_axis()
     assert np.all(xi > -np.pi / spec.h) and np.all(xi <= np.pi / spec.h + 1e-15)
-    assert list(spec.momentum_indices()) == [-3, -2, -1, 0, 1, 2, 3, 4]
+    # FFT storage order, Nyquist node at +N/2
+    assert list(spec.momentum_indices()) == [0, 1, 2, 3, 4, -3, -2, -1]
+    assert [spec.mode_index(k) for k in spec.momentum_indices()] == list(range(spec.N))
+    for k in (-4, 5):
+        with pytest.raises(ValueError):
+            spec.mode_index(k)
 
 
 def test_delta_examples():

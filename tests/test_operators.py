@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +49,9 @@ def test_zone_validation():
         laplacian_symbol((4.0,), spec)
     with pytest.raises(ValueError):
         dirac_symbol((0.0, 0.0), spec)
+    # the zone (-pi/h, pi/h] is open at -pi/h
+    with pytest.raises(ValueError):
+        dirac_symbol((-np.pi,), spec)
 
 
 @pytest.mark.parametrize("alpha", [Fraction(1, 10**8), Fraction(1, 4), Fraction(1, 2)])
@@ -55,7 +59,7 @@ def test_zone_validation():
 def test_square_condition(n, N, h, alpha):
     spec = GridSpec(n, h, alpha, N)
     tab = symbol_tables(spec)
-    z = dirac_multiplier(spec).to_momentum_field().values
+    z = dirac_multiplier(spec).values
     sq = geometric_product_arrays(z, z, n)
     assert np.max(np.abs(sq[0] - tab.d2)) < 1e-12
     assert max(np.max(np.abs(sq[m])) for m in range(1, spec.nblades)) < 1e-12
@@ -129,26 +133,28 @@ def test_alpha_zero_limit():
     assert np.max(np.abs(tiny.vec_cos[0] - zero.vec_cos[0])) < 1e-6
 
 
-def test_multiplier_tables_shape_and_values():
-    spec = GridSpec(1, 1.0, Fraction(1, 4), 8)
+@pytest.mark.parametrize(
+    "n,N,h,alpha",
+    [(1, 8, 1.0, Fraction(1, 4)), (1, 8, 1.0, Fraction(1, 2)), (2, 6, 0.7, Fraction(1, 4))],
+)
+def test_multiplier_tables_shape_and_values(n, N, h, alpha):
+    spec = GridSpec(n, h, alpha, N)
     lap = laplacian_multiplier(spec)
     dm = dirac_multiplier(spec)
-    tab = symbol_tables(spec)
-    zero_mode = spec.N // 2 - 1
+    assert lap.values.shape == dm.values.shape == (spec.nblades,) + spec.site_shape
     # laplacian values real, >= 0, zero exactly at the zero mode
-    assert np.all(tab.d2 >= 0.0)
-    assert tab.d2[zero_mode] == 0.0
-    assert lap.value_at((zero_mode,)).sup_norm() == 0.0
-    for mode in range(spec.N):
-        xi = (float(spec.xi_axis()[mode]),)
-        assert abs(lap.value_at((mode,)).scalar_part() - laplacian_symbol(xi, spec)) < 1e-14
-        assert dm.value_at((mode,)).isclose(dirac_symbol(xi, spec), tol=1e-14)
-    mf = dm.to_momentum_field()
-    assert mf.values.shape == (spec.nblades,) + spec.site_shape
+    assert np.all(symbol_tables(spec).d2 >= 0.0)
+    assert lap.mv((0,) * n).sup_norm() == 0.0
+    # xi from the literal node formula, so the tables must hold the Nyquist
+    # node at k = +N/2 (xi = +pi/h), where the e_1 sign differs from -pi/h
+    for mode in itertools.product(range(1 - N // 2, N // 2 + 1), repeat=n):
+        xi = tuple(2.0 * np.pi * k / (N * h) for k in mode)
+        assert abs(lap.mv(mode).scalar_part() - laplacian_symbol(xi, spec)) < 1e-14
+        assert dm.mv(mode).isclose(dirac_symbol(xi, spec), tol=1e-14)
 
 
 def test_dirac_symbol_is_self_dagger():
     spec = GridSpec(2, 0.7, Fraction(1, 3), 6)
-    for mode in ((0, 1), (2, 3), (5, 4)):
-        z = dirac_multiplier(spec).value_at(mode)
+    for mode in ((-2, -1), (0, 1), (3, 2)):
+        z = dirac_multiplier(spec).mv(mode)
         assert (z.dagger() - z).sup_norm() < 1e-15

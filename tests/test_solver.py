@@ -104,22 +104,8 @@ def test_dfp_pure_dirac_against_stepped():
     assert stepped.sup_diff(exact) / exact.sup_norm() < 1e-6
 
 
-@pytest.mark.parametrize("hurst", [0.3, 0.5, 0.75])
-def test_dfp_vs_stepped_oracle(hurst):
-    pr = ModelParams(mu=1.0, sigma2=1.0, hurst=hurst)
-    d = delta_h(SPEC32)
-    exact = dfp_evolve(d, 1.0, pr)
-    stepped = dfp_evolve_stepped(d, 1.0, pr, steps=10_000)
-    assert stepped.sup_diff(exact) / exact.sup_norm() < 1e-6
-
-
-def test_stepped_oracle_order():
-    pr = ModelParams(mu=1.0, sigma2=1.0, hurst=0.5)
-    d = delta_h(SPEC32)
-    ref = dfp_evolve(d, 1.0, pr)
-    errs = [dfp_evolve_stepped(d, 1.0, pr, steps=s).sup_diff(ref) for s in (16, 32, 64)]
-    orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    assert min(orders) >= 3.7
+# the sigma2 > 0 comparison at 10 000 steps and the observed order are
+# checked by tests/test_acceptance.py::test_criterion_04_dfp_vs_ode_oracle
 
 
 def test_stepped_oracle_stability_guard():
@@ -235,8 +221,7 @@ def test_subordination_modewise(hurst):
 def test_subordination_zero_mode_exact():
     pr = ModelParams(mu=1.0, sigma2=1.0, hurst=0.7)
     lhs, rhs = levy_subordination_modewise(delta_h(SPEC32), 0.8, pr)
-    zero_mode = SPEC32.N // 2 - 1
-    assert lhs.values[0, zero_mode] == rhs.values[0, zero_mode]
+    assert lhs.values[0, 0] == rhs.values[0, 0]
 
 
 def test_subordination_degenerate_diffusion():
