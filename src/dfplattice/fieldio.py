@@ -5,7 +5,9 @@ with a nonzero coefficient, lexicographically ordered.  Site fields index
 sites 0..N-1; momentum fields use the signed mode numbers -N/2+1..N/2, so
 their rows run in ascending k although the arrays are stored in FFT order.
 Floats are written as shortest round-trip reprs, so identical data produces
-identical bytes and a write/read cycle is exact.
+identical bytes and a write/read cycle is exact.  Reading rejects site
+indices outside [0, N), mode numbers outside (-N/2, N/2] and blade masks
+outside [0, 4^n) with a ValueError that names the line.
 """
 
 from __future__ import annotations
@@ -77,8 +79,15 @@ def read_field_csv(fh, spec: GridSpec, momentum: bool = False):
     for row in reader:
         if not row:
             continue
-        idx = tuple(index(v) for v in row[: spec.n])
-        mask = int(row[spec.n])
+        try:
+            idx = tuple(index(v) for v in row[: spec.n])
+            mask = int(row[spec.n])
+            if not (momentum or 0 <= min(idx) and max(idx) < spec.N):
+                raise ValueError(f"site index outside [0, {spec.N})")
+            if not 0 <= mask < spec.nblades:
+                raise ValueError(f"blade mask {mask} outside [0, {spec.nblades})")
+        except ValueError as exc:
+            raise ValueError(f"CSV line {reader.line_num} ({','.join(row)}): {exc}") from None
         vals[(mask,) + idx] = complex(float(row[spec.n + 1]), float(row[spec.n + 2]))
     cls = MomentumField if momentum else Field
     return cls(spec, vals, _copy=False)

@@ -75,14 +75,16 @@ def heat_kernel(spec: GridSpec, tau: float, route: str = "multiplier") -> Field:
         vals = np.exp(-tau * tab.d2)[None, ...] * Fd.values
         return dft_inverse(MomentumField(spec, vals, _copy=False))
     if route == "bessel":
-        z = 2.0 * tau / spec.h**2
-        offsets = np.arange(spec.N)
-        offsets = np.where(offsets <= spec.N // 2, offsets, offsets - spec.N)
-        # fold periodic images; scaled Bessels decay superexponentially in order
-        axis = np.zeros(spec.N)
-        for img in range(-2, 3):
-            axis += np.array([bessel_i_scaled(int(k + img * spec.N), z) for k in offsets])
-        prod = axis
+        z, N = 2.0 * tau / spec.h**2, spec.N
+        offsets = np.arange(N)
+        offsets = np.where(offsets <= N // 2, offsets, offsets - N)
+        # fold periodic images until the next one's nearest order, |j| N - N/2,
+        # is below 1e-17 of the peak; scaled Bessels decay superexponentially in order
+        floor, images = 1e-17 * bessel_i_scaled(0, z), 0
+        while bessel_i_scaled((images + 1) * N - N // 2, z) >= floor:
+            images += 1
+        orders = offsets + N * np.arange(-images, images + 1)[:, None]
+        prod = axis = bessel_i_scaled(orders, z).sum(axis=0)
         for _ in range(spec.n - 1):
             prod = np.multiply.outer(prod, axis)
         total = prod.sum() * spec.cell_volume

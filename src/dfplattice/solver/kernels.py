@@ -34,7 +34,7 @@ import numpy as np
 
 from ..lattice import Field, GridSpec, delta_h
 from ..operators import symbol_tables
-from ..specfun import DomainError, FoxWrightParams, fox_wright, fox_wright_grid, mellin_transform
+from ..specfun import DomainError, FoxWrightParams, fox_wright, mellin_transform
 from ..spectral import MomentumField, dft_forward, dft_inverse
 from .evolution import trig_factors
 from .params import ModelParams
@@ -74,7 +74,7 @@ def _wright_multiplier(d2: np.ndarray, mu: float, t: float, beta: int) -> np.nda
     """sqrt(pi) (mu/2)^beta t^beta 0Psi1[(beta+1/2,1); -mu^2 t^2 d2/4]."""
     p = FoxWrightParams((), ((beta + 0.5, 1.0),))
     lam = -(mu**2) * t * t * d2 / 4.0
-    return np.sqrt(np.pi) * (mu / 2.0) ** beta * t**beta * fox_wright_grid(p, lam)
+    return np.sqrt(np.pi) * (mu / 2.0) ** beta * t**beta * fox_wright(p, lam)
 
 
 def kg_kernel(
@@ -127,7 +127,7 @@ def kg_kernel_mellin(spec: GridSpec, omega: complex, params: ModelParams, beta: 
     H = params.hurst
     c0 = _damping_constant(spec, params)
     lam = -(params.mu**2) * tab.d2 / 4.0 * c0 ** (-1.0 / H)
-    series = fox_wright_grid(_mellin_series_params(omega, params, beta), lam.astype(complex))
+    series = fox_wright(_mellin_series_params(omega, params, beta), lam)
     pref = (
         np.sqrt(np.pi)
         * (params.mu / 2.0) ** beta

@@ -8,7 +8,6 @@ from .wright import (
     bessel_i_scaled,
     fox_wright,
     fox_wright_eval,
-    fox_wright_grid,
     mittag_leffler,
     wright_cos,
     wright_sinc,
@@ -36,7 +35,6 @@ __all__ = [
     "FoxWrightValue",
     "fox_wright",
     "fox_wright_eval",
-    "fox_wright_grid",
     "mittag_leffler",
     "bessel_i_scaled",
     "wright_cos",

@@ -2,27 +2,54 @@
 
 The series  sum_m  prod_k Gamma(a_k + A_k m) / prod_l Gamma(b_l + B_l m)
             * lam^m / m!
-is evaluated in log space (blocked, with a running rescale) so that huge
-numerator/denominator Gammas never overflow individually.  Denominator pole
-terms are exact zeros; numerator poles are genuine parameter singularities
-and raise.  Admissibility follows the standard trichotomy on
-Delta = sum B_l - sum A_k:
+is summed by one driver, ``_sum_series``, for a scalar or an array of
+arguments sharing one parameter set.  Admissibility follows the standard
+trichotomy on Delta = sum B_l - sum A_k:
 
 * Delta > -1: entire in lam;
 * Delta = -1: |lam| < rho converges, |lam| = rho needs Re kappa > 1/2,
   with rho = prod |B_l|^B_l / prod |A_k|^A_k and
   kappa = sum b_l - sum a_k + (p - q)/2;
 * Delta < -1: divergent for lam != 0.
+
+The driver checks admissibility once per call, at the largest |lam|, takes
+the m = 0 term from Gamma and 1/Gamma directly, and generates the terms
+m >= 1 in blocks of ``_BLOCK`` for all elements at once.
+
+* Coefficient rule.  When every row (v, w) has real v > 0 and a
+  positive-integer weight w, and every lam is real, term m is term m - 1
+  times the exact Pochhammer ratio
+  lam prod_k (a_k + A_k (m-1))_{A_k} / (m prod_l (b_l + B_l (m-1))_{B_l}),
+  with ratios, products and sums in ``np.longdouble`` (extended precision
+  on x86, plain double on platforms without it), so alternating sums such
+  as cos(10) = sqrt(pi) 0Psi1[(1/2,1); -25] keep their digits.  Otherwise
+  each term is the exponential of a sum of log-Gammas: denominator pole
+  terms are exact zeros, numerator poles are genuine parameter
+  singularities and raise.  A ratio block that leaves the double range
+  switches the call to log-Gammas for the remaining blocks.  The block
+  coefficients depend on the parameters only and are cached.
+* Rescale.  Each element's terms and partial sums are held in units of
+  2^e, with e raised after every block to the binary exponent of the
+  largest term so far; the rescale is an exact power of two, so nothing
+  overflows unless the value itself does.
+* Stopping rule.  An element stops after a full block whose terms all lie
+  below ``_TERM_EPS`` times its largest block-end partial sum so far
+  (status "converged"), or at ``max_terms`` ("max-terms").
+* Fields.  ``FoxWrightValue`` carries the value, the status and the
+  cancellation max|term| / |value| (its log10 is the digits lost) per
+  element, and ``terms_used``, the most terms any element took.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import lru_cache
+from typing import Tuple, Union
 
 import numpy as np
 from scipy.special import gammaln as _gammaln
+from scipy.special import ive as _ive
 
 from .gammafn import DomainError, gamma, log_gamma, recip_gamma
 
@@ -31,16 +58,16 @@ __all__ = [
     "FoxWrightValue",
     "fox_wright",
     "fox_wright_eval",
-    "fox_wright_grid",
     "mittag_leffler",
     "bessel_i_scaled",
     "wright_cos",
     "wright_sinc",
 ]
 
-_BLOCK = 25          # consecutive-small-terms window of the stopping rule
+_BLOCK = 25          # terms per block, and the window of the stopping rule
 _MAX_TERMS = 100_000
 _TERM_EPS = 1e-16
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -111,10 +138,12 @@ class FoxWrightParams:
 
 @dataclass(frozen=True)
 class FoxWrightValue:
-    value: complex
-    status: str          # "converged" | "max-terms"
-    terms_used: int
-    cancellation: float  # max |term| / |value|, the digits-lost indicator
+    """Scalars for a scalar lam; for an array lam, arrays of its shape except terms_used."""
+
+    value: Union[complex, np.ndarray]
+    status: Union[str, np.ndarray]           # "converged" | "max-terms"
+    terms_used: int                          # the most terms any element took
+    cancellation: Union[float, np.ndarray]   # max |term| / |value|, the digits-lost indicator
 
 
 def _m0_term(params: FoxWrightParams) -> complex:
@@ -126,158 +155,119 @@ def _m0_term(params: FoxWrightParams) -> complex:
     return out
 
 
-def _ratio_path_ok(params: FoxWrightParams, lam: complex) -> bool:
-    """Positive-integer weights with positive real rows admit exact term ratios."""
-    if lam.imag != 0.0:
-        return False
-    rows = params.upper + params.lower
-    return all(
-        w == int(w) and w > 0 and v.imag == 0.0 and v.real > 0.0 for v, w in rows
-    )
+@lru_cache(maxsize=256)
+def _coefficients(params: FoxWrightParams, start: int, stop: int, exact: bool):
+    """Columns of m = start..stop-1 and of t_m / (lam t_{m-1}) (exact) or log(t_m / lam^m).
 
-
-def _eval_ratio(params: FoxWrightParams, lam: float, max_terms: int) -> Optional[FoxWrightValue]:
-    """Term-ratio recurrence + exact summation; ~1 ulp per term, no loggamma."""
-    term = complex(_m0_term(params)).real
-    terms = [term]
-    max_partial, running, max_term = abs(term), term, abs(term)
-    small_run = 0
-    status = "max-terms"
-    m = 0
-    while m + 1 < max_terms:
-        ratio = lam / (m + 1.0)
+    The exact ratios are Pochhammer products in extended precision; a log
+    coefficient of -inf marks a denominator pole (an exact zero term).
+    """
+    m = np.arange(start, stop, dtype=float)
+    if exact:
+        k = m.astype(np.longdouble)
+        coef = 1.0 / k
         for a, A in params.upper:
             for i in range(int(A)):
-                ratio *= a.real + A * m + i
+                coef = coef * (a.real + A * (k - 1.0) + i)
         for b, B in params.lower:
             for i in range(int(B)):
-                ratio /= b.real + B * m + i
-        term *= ratio
-        if not np.isfinite(term):
-            return None  # overflow; caller falls back to the log path
-        terms.append(term)
-        running += term
-        max_partial = max(max_partial, abs(running))
-        max_term = max(max_term, abs(term))
-        m += 1
-        small_run = small_run + 1 if abs(term) < _TERM_EPS * max_partial else 0
-        if small_run >= _BLOCK:
-            status = "converged"
-            break
-    value = math.fsum(terms)
-    cancel = max_term / abs(value) if value != 0.0 else np.inf
-    return FoxWrightValue(complex(value), status, m + 1, float(cancel))
+                coef = coef / (b.real + B * (k - 1.0) + i)
+    else:
+        num = -_gammaln(m + 1.0)
+        for a, A in params.upper:
+            num = num + log_gamma(a + A * m)
+        den = 0.0
+        for b, B in params.lower:
+            den = den + log_gamma(b + B * m)
+        if not np.isfinite(num).all():
+            raise DomainError("Gamma pole among upper parameters a_k + A_k m")
+        coef = np.where(np.isfinite(den), num - den, -np.inf)
+    m, coef = m[:, None], coef[:, None]
+    m.flags.writeable = coef.flags.writeable = False  # the cache hands them to every caller
+    return m, coef
+
+
+def _sum_series(params: FoxWrightParams, lam: np.ndarray, max_terms: int):
+    """The series at every element of the 1-d complex array ``lam``.
+
+    Returns the values, a converged flag and the cancellation per element,
+    and the most terms any element took.
+    """
+    params.check_admissible(np.abs(lam).max(initial=0.0))  # admissibility depends on |lam| only
+    t0 = _m0_term(params)
+    # per element: partial sum in units of 2^exps, largest |term| in the same units
+    sums = np.full(lam.shape, t0)
+    exps = np.zeros(lam.shape, dtype=int)
+    peaks = np.full(lam.shape, abs(t0))
+    converged = np.ones(lam.shape, dtype=bool)
+    # the same for the unfinished elements, with lam, the last term and the largest block-end |sum|
+    live = np.flatnonzero(lam)
+    x, acc, e, big = lam[live], sums[live], exps[live], peaks[live]
+    last, top = acc.real, big
+    # positive-integer weights with positive real rows admit exact term ratios
+    rows = params.upper + params.lower
+    exact = not np.any(lam.imag) and all(
+        w == int(w) and w > 0 and v.imag == 0.0 and v.real > 0.0 for v, w in rows
+    )
+    m0 = 1
+    with np.errstate(all="ignore"):
+        while live.size and m0 < max_terms:
+            stop = min(m0 + _BLOCK, max_terms)
+            if exact:
+                m, ratio = _coefficients(params, m0, stop, True)
+                terms = last * (ratio * x.real).cumprod(axis=0)
+                tmag = np.abs(terms).max(axis=0)
+                exact = bool(np.isfinite(tmag.astype(float)).all())
+                up = np.maximum(np.frexp(tmag)[1], 0)
+            if not exact:
+                m, logc = _coefficients(params, m0, stop, False)
+                logt = logc + m * np.log(x)
+                up = np.maximum(np.ceil(logt.real.max(axis=0) / _LN2) - e, 0).astype(int)
+                terms = np.exp(logt - (e + up) * _LN2)
+                tmag = np.abs(terms).max(axis=0)
+            m0 = stop
+            if up.any():
+                scale = np.ldexp(1.0, -up)
+                e, acc, top, big = e + up, acc * scale, top * scale, big * scale
+                if exact:
+                    terms, tmag = terms * scale, tmag * scale
+            acc, last = acc + terms.sum(axis=0), terms[-1]
+            top = np.maximum(top, np.abs(acc))
+            big = np.maximum(big, tmag)
+            done = (tmag < _TERM_EPS * top) & (m.size == _BLOCK)
+            if m0 >= max_terms:
+                converged[live[~done]] = False
+                done[:] = True
+            if done.any():
+                idx = live[done]
+                sums[idx], exps[idx], peaks[idx] = acc[done], e[done], big[done]
+                keep = ~done
+                state = (live, x, acc, e, big, last, top)
+                live, x, acc, e, big, last, top = (v[keep] for v in state)
+        converged[live] = False  # left only when max_terms <= 1
+        cancellation = peaks / np.abs(sums)
+        value = np.empty_like(sums)
+        value.real, value.imag = np.ldexp(sums.real, exps), np.ldexp(sums.imag, exps)
+    cancellation[lam == 0] = 1.0
+    return value, converged, cancellation, m0
 
 
 def fox_wright_eval(
-    params: FoxWrightParams, lam: complex, max_terms: int = _MAX_TERMS
+    params: FoxWrightParams, lam: Union[complex, np.ndarray], max_terms: int = _MAX_TERMS
 ) -> FoxWrightValue:
-    """Evaluate the series with full status reporting."""
-    lam = complex(lam)
-    params.check_admissible(lam)
-    if lam == 0.0:
-        return FoxWrightValue(_m0_term(params), "converged", 1, 1.0)
-    if _ratio_path_ok(params, lam):
-        out = _eval_ratio(params, lam.real, max_terms)
-        if out is not None:
-            return out
-
-    loglam = np.log(lam)
-    shift = 0.0          # accumulator is held in units of exp(shift)
-    acc = 0.0 + 0.0j
-    max_partial = 0.0    # in the same scaled units
-    max_term = 0.0
-    m0 = 0
-    status = "max-terms"
-    with np.errstate(all="ignore"):
-        while m0 < max_terms:
-            m = np.arange(m0, min(m0 + _BLOCK, max_terms))
-            num = m * loglam - log_gamma(m + 1.0)
-            for a, A in params.upper:
-                num = num + log_gamma(a + A * m)
-            den = np.zeros_like(num)
-            for b, B in params.lower:
-                den = den + log_gamma(b + B * m)
-            if np.any(np.isinf(num.real) & (num.real > 0)) or np.any(np.isnan(num)):
-                raise DomainError("Gamma pole among upper parameters a_k + A_k m")
-            zero_term = np.isinf(den.real) | np.isnan(den)
-            lt = np.where(zero_term, -np.inf, num - np.where(zero_term, 0.0, den))
-            # rescale so exp never overflows while magnitudes stay comparable
-            block_top = float(np.max(lt.real))
-            if block_top - shift > 600.0:
-                factor = np.exp(shift - block_top)
-                acc *= factor
-                max_partial *= factor
-                max_term *= factor
-                shift = block_top
-            terms = np.where(np.isneginf(lt.real), 0.0, np.exp(lt - shift))
-            tmag = np.abs(terms)
-            max_term = max(max_term, float(np.max(tmag, initial=0.0)))
-            for t in terms:
-                acc += t
-                max_partial = max(max_partial, abs(acc))
-            m0 += len(m)
-            if max_partial > 0.0 and float(np.max(tmag)) < _TERM_EPS * max_partial:
-                status = "converged"
-                break
-    if shift == 0.0 or acc == 0.0:
-        value = acc
-    else:
-        # combine in log space: exp(shift) alone may overflow even when
-        # the cancelled sum acc * exp(shift) is moderate
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = np.exp(shift + np.log(complex(acc)))
-    cancel = max_term / abs(acc) if abs(acc) > 0 else np.inf
-    return FoxWrightValue(complex(value), status, m0, float(cancel))
-
-
-def fox_wright(params: FoxWrightParams, lam: complex) -> complex:
-    return fox_wright_eval(params, lam).value
-
-
-def fox_wright_grid(params: FoxWrightParams, lam: np.ndarray, max_terms: int = 4000) -> np.ndarray:
-    """Series over an array of arguments sharing one parameter set.
-
-    Used by the kernel routines, which need the same p_Psi_q at every
-    momentum node; terms are generated blockwise for all nodes at once.
-    No rescaling here -- callers stay in regimes where terms fit in range.
-    """
-    for l in np.atleast_1d(lam).flat:
-        params.check_admissible(l)
+    """Evaluate the series with full status reporting, at a scalar or an array lam."""
     lam = np.asarray(lam, dtype=complex)
-    flat = lam.reshape(-1)
-    out = np.zeros(flat.shape, dtype=complex)
-    maxmag = np.zeros(flat.shape)
-    with np.errstate(all="ignore"):
-        loglam = np.where(flat == 0.0, 0.0, np.log(np.where(flat == 0.0, 1.0, flat)))
-        m0 = 0
-        while m0 < max_terms:
-            m = np.arange(m0, m0 + _BLOCK)
-            base = -log_gamma(m + 1.0).astype(complex)
-            for a, A in params.upper:
-                base = base + log_gamma(a + A * m)
-            den = np.zeros_like(base)
-            for b, B in params.lower:
-                den = den + log_gamma(b + B * m)
-            if np.any(np.isinf(base.real) & (base.real > 0)) or np.any(np.isnan(base)):
-                raise DomainError("Gamma pole among upper parameters a_k + A_k m")
-            zero_term = np.isinf(den.real) | np.isnan(den)
-            lt = np.where(zero_term, -np.inf, base - np.where(zero_term, 0.0, den))
-            block = np.exp(lt[:, None] + m[:, None] * loglam[None, :])
-            block = np.where(np.isneginf(lt.real)[:, None], 0.0, block)
-            # lam == 0 contributes only its m = 0 term
-            block[:, flat == 0.0] = 0.0
-            if m0 == 0 and np.any(flat == 0.0):
-                block[0, flat == 0.0] = np.exp(lt[0]) if not np.isneginf(lt[0].real) else 0.0
-            out += block.sum(axis=0)
-            mags = np.abs(block)
-            maxmag = np.maximum(maxmag, mags.max(axis=0))
-            m0 += _BLOCK
-            if m0 >= 2 * _BLOCK and np.all(
-                mags.max(axis=0) <= _TERM_EPS * np.maximum(np.abs(out), maxmag * 1e-30)
-            ):
-                break
-    return out.reshape(lam.shape)
+    value, converged, cancellation, terms = _sum_series(params, lam.reshape(-1), max_terms)
+    if lam.ndim == 0:
+        status = "converged" if converged[0] else "max-terms"
+        return FoxWrightValue(complex(value[0]), status, terms, float(cancellation[0]))
+    status = np.where(converged, "converged", "max-terms").reshape(lam.shape)
+    return FoxWrightValue(value.reshape(lam.shape), status, terms, cancellation.reshape(lam.shape))
+
+
+def fox_wright(params: FoxWrightParams, lam: Union[complex, np.ndarray]):
+    """The series value: a complex for a scalar lam, an array of lam's shape otherwise."""
+    return fox_wright_eval(params, lam).value
 
 
 def mittag_leffler(rho: float, beta: float, lam: complex) -> complex:
@@ -287,27 +277,17 @@ def mittag_leffler(rho: float, beta: float, lam: complex) -> complex:
     return fox_wright(FoxWrightParams(((1.0, 1.0),), ((beta, rho),)), lam)
 
 
-def bessel_i_scaled(k: int, z: float) -> float:
-    """Exponentially scaled modified Bessel e^{-z} I_k(z), z >= 0, integer order."""
-    k = abs(int(k))
-    z = float(z)
-    if z < 0:
+def bessel_i_scaled(k, z):
+    """Exponentially scaled modified Bessel e^{-z} I_k(z), integer order, z >= 0.
+
+    Scalars give a float; integer arrays of orders (or arrays of z)
+    broadcast to an array.
+    """
+    z = np.asarray(z, dtype=float)
+    if np.any(z < 0):
         raise DomainError("bessel_i_scaled requires z >= 0")
-    if z == 0.0:
-        return 1.0 if k == 0 else 0.0
-    # first term in log space, then the stable term recurrence
-    log_t = k * np.log(z / 2.0) - _gammaln(k + 1.0) - z
-    term = np.exp(log_t)
-    total = term
-    q = z * z / 4.0
-    m = 0
-    while m < 10_000:
-        term *= q / ((m + 1.0) * (m + 1.0 + k))
-        total += term
-        m += 1
-        if term <= 1e-18 * total:  # also stops once the terms underflow to 0
-            break
-    return float(total)
+    out = _ive(np.abs(np.asarray(k, dtype=int)), z)  # |k|: I_{-k} = I_k exactly
+    return float(out) if out.ndim == 0 else out
 
 
 def wright_cos(lam: float) -> complex:

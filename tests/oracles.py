@@ -3,8 +3,9 @@
 Each oracle re-derives a library operation through a different algorithm:
 blade products via sequence sorting instead of bitmask popcounts, transforms
 via explicit O(N^2) phase sums instead of FFTs, convolution via the literal
-double loop, and the fractional Dirac operator via finite-difference
-stencils on a refined grid instead of its Fourier symbol.
+double loop, the fractional Dirac operator via finite-difference
+stencils on a refined grid instead of its Fourier symbol, and Fox-Wright
+series via literal Gamma products instead of term ratios or log-Gammas.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 import numpy as np
+from scipy.special import gamma, rgamma
 
 from dfplattice.clifford import Multivector, num_blades
 from dfplattice.lattice import Field, GridSpec
@@ -171,3 +173,23 @@ def dirac_stencil_oracle(f: Field) -> Field:
         dd = _dirac_kahler_stencil_dagger(fine.values, fine.spec, r, a * spec.h)
         vals = (1.0 - a) * d - a * dd
     return restrict_field(Field(fine.spec, vals), s)
+
+
+# ------------------------------------------------------------- Fox-Wright
+
+def fox_wright_partial_sum(upper, lower, lam: complex, terms: int = 100) -> Tuple[complex, float]:
+    """Partial sum of pPsiq and its largest |term|, one term at a time.
+
+    Term m is lam^m / m! * prod Gamma(a + A m) * prod 1/Gamma(b + B m),
+    each factor evaluated directly: no log space, no term ratios.
+    """
+    total, largest = 0j, 0.0
+    for m in range(terms):
+        term = complex(lam) ** m * rgamma(m + 1.0)
+        for a, A in upper:
+            term *= gamma(complex(a) + A * m)
+        for b, B in lower:
+            term *= rgamma(complex(b) + B * m)
+        total += term
+        largest = max(largest, abs(term))
+    return total, largest

@@ -248,6 +248,20 @@ def test_numeric_error_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "row", ["-1,0,1.0,0.0", "8,0,1.0,0.0", "3,4,1.0,0.0"], ids=["site-1", "site-N", "mask-4^n"]
+)
+def test_input_csv_out_of_range_exit_code(tmp_path, capsys, row):
+    path = tmp_path / "in.csv"
+    path.write_text("k1,mask,re,im\n0,0,1.0,0.0\n" + row + "\n")
+    code, out, err = run_cli(
+        ["evolve", "--dim", "1", "--points", "8", "--t", "0", "--input", str(path)], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert f"line 3 ({row})" in err
+
+
 def test_thread_cap_env(tmp_path):
     env = cli_env(DFP_THREADS="1")
     proc = subprocess.run(

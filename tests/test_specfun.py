@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln as sp_gammaln
-from scipy.special import ive as sp_ive
 from scipy.special import iv as sp_iv
 
 from dfplattice.specfun import (
@@ -14,7 +15,6 @@ from dfplattice.specfun import (
     cancellation_floor,
     fox_wright,
     fox_wright_eval,
-    fox_wright_grid,
     gamma,
     hartman_watson_theta,
     levy_laplace,
@@ -29,6 +29,7 @@ from dfplattice.specfun import (
     wright_cos,
     wright_sinc,
 )
+from oracles import fox_wright_partial_sum
 
 
 # ---------------------------------------------------------------- gamma
@@ -77,11 +78,6 @@ def test_bessel_generating_function():
     assert abs(total - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("k,z", [(0, 0.3), (1, 2.0), (7, 5.0), (32, 2.0), (0, 64.0), (12, 31.0)])
-def test_bessel_matches_scipy(k, z):
-    assert bessel_i_scaled(k, z) == pytest.approx(float(sp_ive(k, z)), rel=1e-12, abs=1e-300)
-
-
 # ------------------------------------------------------------ fox-wright
 
 def test_wright_all_gamma_ratios_one():
@@ -97,11 +93,8 @@ def test_wright_sinc_at_half_pi():
     assert abs(wright_sinc(np.pi / 2.0) - 2.0 / np.pi) < 1e-13
 
 
-def test_wright_trig_identities_on_grid():
-    for lam in np.linspace(0.0, 10.0, 81):
-        assert abs(wright_cos(lam) - np.cos(lam)) < 1e-12
-        if lam > 0:
-            assert abs(wright_sinc(lam) - np.sin(lam) / lam) < 1e-12
+# cos and sin(lam)/lam on the 81-point grid over [0, 10] are checked by
+# tests/test_acceptance.py::test_criterion_07_wright_machinery
 
 
 def test_wright_classification_values():
@@ -157,12 +150,41 @@ def test_wright_lambda_zero():
     assert abs(fox_wright(p, 0.0) - gamma(0.7) * recip_gamma(1.3)) < 1e-14
 
 
-def test_wright_grid_matches_scalar():
-    p = FoxWrightParams(((0.9, 1.25),), ((0.5, 1.0),))
-    lams = np.array([-3.0, -0.5, 0.0, 0.7])
-    grid = fox_wright_grid(p, lams.astype(complex))
-    for lam, got in zip(lams, grid):
-        assert abs(got - fox_wright(p, complex(lam))) < 1e-12
+@st.composite
+def fox_wright_rows(draw):
+    """Parameter rows of the kinds the package sums, each entire in lam."""
+    kind = draw(st.sampled_from(["integer", "non-integer", "levy", "mellin"]))
+    pos = st.floats(0.1, 3.0)
+    if kind == "integer":  # the exact-ratio rule for real lam
+        upper = draw(st.sampled_from([(), ((draw(pos), 1.0),)]))
+        return upper, ((draw(pos), float(draw(st.integers(1, 2)))),)
+    if kind == "non-integer":
+        A = draw(st.floats(0.25, 1.25))
+        upper = draw(st.sampled_from([(), ((draw(pos), A),)]))
+        return upper, ((draw(pos), A + draw(st.floats(0.0, 0.5))),)
+    if kind == "levy":  # 0Psi1[(b, -nu)], with the pole terms of b = 0
+        b = draw(st.sampled_from([0.0, draw(st.floats(0.0, 1.0))]))
+        return (), ((b, -draw(st.sampled_from([0.25, 0.5]) | st.floats(0.2, 0.6))),)
+    # Mellin-Barnes: 1Psi1[((beta + omega)/(2H), 1/H); (beta + 1/2, 1)]
+    a = complex(draw(st.floats(0.2, 1.5)), draw(st.floats(-20.0, 20.0)))
+    return ((a, 1.0 / draw(st.floats(0.75, 0.95))),), ((draw(st.sampled_from([0.5, 1.5])), 1.0),)
+
+
+lam_arrays = st.lists(
+    st.builds(complex, st.floats(-1.4, 1.4), st.sampled_from([0.0]) | st.floats(-1.4, 1.4)),
+    min_size=1,
+    max_size=6,
+).map(np.array)
+
+
+@given(fox_wright_rows(), lam_arrays)
+def test_fox_wright_matches_partial_sum_oracle(rows, lam):
+    upper, lower = rows
+    got = fox_wright(FoxWrightParams(upper, lower), lam)
+    assert got.shape == lam.shape
+    for g, l in zip(got, lam):
+        want, largest = fox_wright_partial_sum(upper, lower, l)
+        assert abs(g - want) <= 1e-12 * largest
 
 
 # --------------------------------------------------------- mittag-leffler
@@ -175,9 +197,7 @@ def test_mittag_leffler_examples():
         mittag_leffler(-1.0, 1.0, 0.5)
 
 
-def test_mittag_leffler_cos_grid():
-    for lam in np.linspace(0.0, 10.0, 41):
-        assert abs(mittag_leffler(2.0, 1.0, -lam * lam) - np.cos(lam)) < 1e-12
+# the cos grid E_{2,1}(-lam^2) over [0, 10] is checked by criterion 07
 
 
 # ------------------------------------------------------------------ levy
@@ -212,11 +232,8 @@ def test_levy_argument_validation():
         levy_pdf(0.5, -1.0)
 
 
-def test_levy_laplace_identity_grid():
-    for nu in (0.3, 0.5, 0.7):
-        for s in (0.1, 1.0, 5.0):
-            target = np.exp(-(s**nu))
-            assert abs(levy_laplace(nu, s) - target) / target < 1e-6
+# the Laplace identity on nu in {0.3, 0.5, 0.7} x s in {0.1, 1, 5} is checked by
+# tests/test_acceptance.py::test_criterion_06_levy_subordination
 
 
 def test_levy_laplace_exp_minus_one():
