@@ -21,7 +21,6 @@ from .kernels import (
 )
 from .subordination import (
     QuadratureError,
-    adaptive_field_quad,
     levy_subordination_check,
     levy_subordination_modewise,
 )
@@ -43,6 +42,5 @@ __all__ = [
     "default_contour_abscissa",
     "levy_subordination_check",
     "levy_subordination_modewise",
-    "adaptive_field_quad",
     "QuadratureError",
 ]

@@ -108,11 +108,20 @@ def default_contour_abscissa(params: ModelParams, beta: int) -> float:
     return params.hurst - 0.5 * beta
 
 
-def _mellin_series_params(omega: complex, params: ModelParams, beta: int) -> FoxWrightParams:
+def _mellin_mode_multiplier(d2, omega: complex, params: ModelParams, c0: float, beta: int):
+    """sqrt(pi) (mu/2)^beta / (2H) c0^{-(beta+omega)/(2H)} 1Psi1[...; -(mu^2 d2/4) c0^{-1/H}]."""
     H = params.hurst
-    return FoxWrightParams(
+    series = FoxWrightParams(
         (((beta + omega) / (2.0 * H), 1.0 / H),),
         ((beta + 0.5, 1.0),),
+    )
+    lam = -(params.mu**2) * d2 / 4.0 * c0 ** (-1.0 / H)
+    return (
+        np.sqrt(np.pi)
+        * (params.mu / 2.0) ** beta
+        / (2.0 * H)
+        * c0 ** (-(beta + omega) / (2.0 * H))
+        * fox_wright(series, lam)
     )
 
 
@@ -123,19 +132,11 @@ def kg_kernel_mellin(spec: GridSpec, omega: complex, params: ModelParams, beta: 
     omega = complex(omega)
     if omega.real <= -beta:
         raise DomainError(f"Re omega = {omega.real} outside the strip Re omega > {-beta}")
-    tab = symbol_tables(spec)
-    H = params.hurst
-    c0 = _damping_constant(spec, params)
-    lam = -(params.mu**2) * tab.d2 / 4.0 * c0 ** (-1.0 / H)
-    series = fox_wright(_mellin_series_params(omega, params, beta), lam)
-    pref = (
-        np.sqrt(np.pi)
-        * (params.mu / 2.0) ** beta
-        / (2.0 * H)
-        * c0 ** (-(beta + omega) / (2.0 * H))
+    mult = _mellin_mode_multiplier(
+        symbol_tables(spec).d2, omega, params, _damping_constant(spec, params), beta
     )
     Fd = dft_forward(delta_h(spec))
-    vals = (pref * series)[None, ...] * Fd.values
+    vals = mult[None, ...] * Fd.values
     return dft_inverse(MomentumField(spec, vals, _copy=False))
 
 
@@ -176,14 +177,7 @@ def kernel_mellin_identity(
         return float(f * g.real)
 
     lhs = mellin_transform(fg, omega)
-    lam = -(params.mu**2) * d2 / 4.0 * c0 ** (-1.0 / H)
-    rhs = (
-        np.sqrt(np.pi)
-        * (params.mu / 2.0) ** beta
-        / (2.0 * H)
-        * c0 ** (-(beta + omega) / (2.0 * H))
-        * fox_wright(_mellin_series_params(omega, params, beta), lam)
-    )
+    rhs = _mellin_mode_multiplier(d2, omega, params, c0, beta)
     return lhs, complex(rhs)
 
 
@@ -224,23 +218,25 @@ def mellin_barnes_kernel(
     if c <= -beta:
         raise DomainError(f"contour abscissa c = {c} outside the strip Re omega > {-beta}")
 
-    idx = (slice(None),) + tuple(int(s) % spec.N for s in site)
+    if len(site) != spec.n:
+        raise ValueError(f"site {tuple(site)} needs {spec.n} coordinates")
+    # Parseval against the delta at the site reads one value of the kernel:
+    # K_beta(site) = sum_k row_k m_k for the mode multiplier m on the scalar blade
+    d0 = delta_h(spec)
+    shift = tuple(int(k) for k in site)
+    at_site = Field(spec, np.roll(d0.values, shift, axis=spec.site_axes), _copy=False)
+    row = spec.momentum_weight * np.conj(dft_forward(at_site).values[0]) * dft_forward(d0).values[0]
+    d2 = symbol_tables(spec).d2
+    c0 = _damping_constant(spec, params)
+
+    lo = np.arange(-T, T - 1e-12, panel_width)  # panel starts; the last panel ends at T
+    half = 0.5 * (np.minimum(lo + panel_width, T) - lo)[:, None]
     nodes, weights = np.polynomial.legendre.leggauss(12)
-    total = 0.0 + 0.0j
-    edge_mag = 0.0
-    a = -T
-    while a < T - 1e-12:
-        b = min(a + panel_width, T)
-        tau = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        w = 0.5 * (b - a) * weights
-        for tq, wq in zip(tau, w):
-            omega = complex(c, tq)
-            mvals = kg_kernel_mellin(spec, omega, params, beta).values[idx]
-            val = complex(mvals[0]) * t ** (-omega)
-            total += wq * val
-            if b >= T - 1e-12 or a <= -T + 1e-12:
-                edge_mag = max(edge_mag, abs(val))
-        a = b
+    omega = c + 1j * (lo[:, None] + half * (nodes + 1.0))
+    mvals = [np.sum(row * _mellin_mode_multiplier(d2, om, params, c0, beta)) for om in omega.flat]
+    vals = np.reshape(mvals, omega.shape) * t ** (-omega)
+    total = np.sum(half * weights * vals)
+    edge_mag = float(np.max(np.abs(vals[[0, -1]])))
     value = total / (2.0 * np.pi)
     decay = np.pi / (4.0 * params.hurst)
     tail = 2.0 * edge_mag / decay / (2.0 * np.pi)

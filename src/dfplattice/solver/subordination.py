@@ -7,22 +7,25 @@ Sitewise statement: with c = n sigma2 / h^2,
         = int_0^inf psi(., t | p) c^{-1/H} L_H(p c^{-1/H}) dp
         = int_0^inf psi(., t | c^{1/H} q) L_H(q) dq        (p = c^{1/H} q)
 
-The right side is computed by field-valued adaptive Gauss-Kronrod over the
-head [0, Q] (every node is a full Klein-Gordon solve plus a Levy density
-evaluation) with Q grown until e^{-s Q} < 1e-8, s = c^{1/H} t^2; the far
-tail uses the explicit e^{-p t^2} damping of the wave ansatz, so only the
-Laplace weight is integrated out there.  Modewise statement: identical with
-c replaced by sigma2 d2(xi)/2 per momentum node; the Clifford factor of the
-mode function is p-independent, so each mode reduces to one scalar
-quadrature of the Levy density (the zero mode is exact).
+The right side is computed by scipy's field-valued adaptive Gauss-Kronrod
+(``quad_vec``, G7/K15 with QUADPACK's error estimate; a miss of the
+tolerance raises QuadratureError) over the head [0, Q], every node a full
+Klein-Gordon solve plus a Levy density evaluation, with Q grown until
+e^{-s Q} < 1e-8, s = c^{1/H} t^2; the far tail uses the explicit
+e^{-p t^2} damping of the wave ansatz, so only the Laplace weight is
+integrated out there.  Modewise statement: identical with c replaced by
+sigma2 d2(xi)/2 per momentum node; the Clifford factor of the mode function
+is p-independent, so every mode reduces to the Laplace transform of the Levy
+density, and :func:`levy_laplace` integrates all of them in one
+vector-valued quadrature (the zero mode is exact).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 
 from ..lattice import Field
 from ..operators import symbol_tables
@@ -32,7 +35,6 @@ from .evolution import klein_gordon_evolve
 from .params import ModelParams
 
 __all__ = [
-    "adaptive_field_quad",
     "levy_subordination_check",
     "levy_subordination_modewise",
     "QuadratureError",
@@ -41,62 +43,6 @@ __all__ = [
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
-
-
-# 15-point Kronrod extension of 7-point Gauss on [-1, 1]
-_XGK = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769, 0.741531185599394,
-    0.586087235467691, 0.405845151377397, 0.207784955007898, 0.0,
-])
-_WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
-    0.169004726639267, 0.190350578064785, 0.204432940075298, 0.209482141084728,
-])
-_WG = np.array([0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469])
-
-
-def _panel(fn: Callable[[float], np.ndarray], a: float, b: float):
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    fplus = [fn(mid + half * x) for x in _XGK[:7]]
-    fminus = [fn(mid - half * x) for x in _XGK[:7]]
-    f0 = fn(mid)
-    k15 = _WGK[7] * f0
-    for i in range(7):
-        k15 = k15 + _WGK[i] * (fplus[i] + fminus[i])
-    g7 = _WG[3] * f0
-    # the embedded Gauss nodes sit at the odd Kronrod indices
-    for j, i in enumerate((1, 3, 5)):
-        g7 = g7 + _WG[j] * (fplus[i] + fminus[i])
-    err = float(np.max(np.abs(k15 - g7))) * half
-    return k15 * half, err
-
-
-def adaptive_field_quad(
-    fn: Callable[[float], np.ndarray],
-    a: float,
-    b: float,
-    abs_tol: float,
-    max_panels: int = 240,
-) -> np.ndarray:
-    """Adaptive Gauss-Kronrod (G7/K15) for array-valued integrands."""
-    val, err = _panel(fn, a, b)
-    panels = [(err, a, b, val)]
-    while sum(p[0] for p in panels) > abs_tol:
-        if len(panels) >= max_panels:
-            achieved = sum(p[0] for p in panels)
-            raise QuadratureError(
-                f"field quadrature stalled at error {achieved:.3e} > {abs_tol:.3e}"
-            )
-        panels.sort(key=lambda p: p[0])
-        _, pa, pb, _ = panels.pop()
-        mid = 0.5 * (pa + pb)
-        for lo, hi in ((pa, mid), (mid, pb)):
-            v, e = _panel(fn, lo, hi)
-            panels.append((e, lo, hi, v))
-    total = panels[0][3] * 0.0
-    for _, _, _, v in panels:
-        total = total + v
-    return total
 
 
 def _head_cutoff(s: float, hurst: float) -> float:
@@ -125,15 +71,20 @@ def levy_subordination_check(
     Q = _head_cutoff(s, H)
 
     def integrand(q: float) -> np.ndarray:
-        if q <= 0.0:
-            return np.zeros_like(psi0.values)
         w = levy_pdf(H, q)
         if w == 0.0:
             return np.zeros_like(psi0.values)
         return klein_gordon_evolve(phi0, t, scale * q, params).values * w
 
     ref = max(psi0.sup_norm(), 1.0)
-    head = adaptive_field_quad(integrand, 0.0, Q, abs_tol=quad_tol * ref)
+    head, err, info = quad_vec(
+        integrand, 0.0, Q, epsabs=quad_tol * ref, epsrel=0.0, norm="max",
+        quadrature="gk15", limit=240, full_output=True,
+    )
+    if info.status != 0:
+        raise QuadratureError(
+            f"field quadrature stopped at error {err:.3e} > {quad_tol * ref:.3e}: {info.message}"
+        )
     # beyond Q the wave ansatz's explicit e^{-p t^2} damping factors out
     tail_weight, _ = quad(lambda q: np.exp(-s * q) * levy_pdf(H, q), Q, np.inf, limit=400)
     rhs = Field(spec, head + tail_weight * psi0.values)
@@ -153,13 +104,6 @@ def levy_subordination_modewise(
     damp = np.exp(-0.5 * params.sigma2 * t ** (2.0 * H) * tab.d2)
     lhs = MomentumField(spec, damp[None, ...] * psi_hat.values, _copy=False)
 
-    flat_d2 = tab.d2.reshape(-1)
-    # d2 is even in xi, so roughly half the modes share their weight
-    uniq, inverse = np.unique(np.round(flat_d2, 12), return_inverse=True)
-    wuniq = np.empty_like(uniq)
-    for i, d2 in enumerate(uniq):
-        cm = 0.5 * params.sigma2 * float(d2)
-        wuniq[i] = 1.0 if cm == 0.0 else levy_laplace(H, cm ** (1.0 / H) * t * t)
-    wgrid = wuniq[inverse].reshape(tab.d2.shape)
+    wgrid = levy_laplace(H, (0.5 * params.sigma2 * tab.d2) ** (1.0 / H) * t * t)
     rhs = MomentumField(spec, wgrid[None, ...] * psi_hat.values, _copy=False)
     return lhs, rhs

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad_vec
 
 from .gammafn import DomainError
 from .wright import FoxWrightParams, fox_wright_eval
@@ -111,20 +111,30 @@ def levy_pdf(nu: float, u: float) -> float:
     return levy_pdf_eval(nu, u).value
 
 
-def levy_laplace(nu: float, s: float) -> float:
+def levy_laplace(nu: float, s: float | np.ndarray) -> float | np.ndarray:
     """int_0^inf e^{-s u} L_nu(u) du by quadrature of the density.
 
-    The identity value is e^{-s^nu}; this routine never uses it -- it is the
-    independent side of that check.  s = 0 returns the exact total mass 1.
+    ``s`` may be a scalar (float result) or an array (array of its shape);
+    all entries share one vector-valued quadrature, cut off where the
+    smallest positive s leaves mass below 1e-10 of the result scale.  The
+    identity value is e^{-s^nu}; this routine never uses it -- it is the
+    independent side of that check.  Entries s = 0 return the exact total
+    mass 1.
     """
     nu = _check_index(nu)
-    if s < 0.0:
+    s_arr = np.asarray(s, dtype=float)
+    if not np.all(s_arr >= 0.0):
         raise DomainError("Laplace variable s must be >= 0")
-    if s == 0.0:
-        return 1.0
-    # cutoff where the remaining mass is below 1e-10 of the result scale
-    Q = (24.0 + s**nu) / s
-    val, _ = quad(
-        lambda u: np.exp(-s * u) * levy_pdf(nu, u), 0.0, Q, limit=800, epsabs=1e-12, epsrel=1e-10
-    )
-    return float(val)
+    out = np.ones(s_arr.shape)
+    pos = s_arr > 0.0
+    if np.any(pos):
+        sp = s_arr[pos]
+        Q = float(np.max((24.0 + sp**nu) / sp))
+        val, err, info = quad_vec(
+            lambda u: np.exp(-sp * u) * levy_pdf(nu, u), 0.0, Q,
+            epsabs=1e-12, epsrel=1e-10, norm="max", limit=800, full_output=True,
+        )
+        if info.status != 0:
+            raise DomainError(f"Levy Laplace quadrature stopped at error {err:.3e}: {info.message}")
+        out[pos] = val
+    return float(out) if out.ndim == 0 else out

@@ -3,7 +3,10 @@
 M{f}(s) = int_0^inf f(t) t^{s-1} dt is computed in the log variable
 t = e^x on symmetric windows [-X, X] grown until the tail increments fall
 below 1e-12 of the running value; increments that keep growing instead mark
-s as outside the fundamental strip and raise.
+s as outside the fundamental strip and raise, as does a window that stops
+growing before the increments are small.  Multiplicative convolution runs on
+the same window driver, and every complex integral is one scipy ``quad``
+call with ``complex_func=True``.
 """
 
 from __future__ import annotations
@@ -25,10 +28,29 @@ __all__ = [
 _TAIL_RTOL = 1e-12
 
 
-def _complex_quad(f: Callable[[float], complex], a: float, b: float, limit: int = 400) -> complex:
-    re, _ = quad(lambda x: np.real(f(x)), a, b, limit=limit)
-    im, _ = quad(lambda x: np.imag(f(x)), a, b, limit=limit)
-    return complex(re, im)
+def _log_window_quad(
+    g: Callable[[float], complex], where: str, x0: float, max_doublings: int, limit: int
+) -> complex:
+    """int_{-inf}^{inf} g(x) dx on symmetric windows [-X, X] doubled from x0."""
+
+    def piece(a: float, b: float) -> complex:
+        return quad(g, a, b, limit=limit, complex_func=True)[0]
+
+    X = x0
+    total = piece(-X, X)
+    prev_inc = None
+    for _ in range(max_doublings):
+        inc = piece(X, 2.0 * X) + piece(-2.0 * X, -X)
+        total += inc
+        X *= 2.0
+        if abs(inc) <= _TAIL_RTOL * max(abs(total), 1e-300):
+            return total
+        if prev_inc is not None and abs(inc) > 4.0 * abs(prev_inc) and abs(inc) > 1e-10:
+            raise DomainError(f"Mellin integral diverges at {where} (outside the strip)")
+        prev_inc = abs(inc)
+    if prev_inc is not None and prev_inc > 1e-8 * max(abs(total), 1e-300):
+        raise DomainError(f"Mellin integral not converged at {where}")
+    return total
 
 
 def mellin_transform(
@@ -40,25 +62,9 @@ def mellin_transform(
 ) -> complex:
     """M{f}(s) with adaptive symmetric truncation in the log variable."""
     s = complex(s)
-
-    def g(x: float) -> complex:
-        return f(np.exp(x)) * np.exp(s * x)
-
-    X = x0
-    total = _complex_quad(g, -X, X, limit=limit)
-    prev_inc = None
-    for _ in range(max_doublings):
-        inc = _complex_quad(g, X, 2.0 * X, limit=limit) + _complex_quad(g, -2.0 * X, -X, limit=limit)
-        total += inc
-        X *= 2.0
-        if abs(inc) <= _TAIL_RTOL * max(abs(total), 1e-300):
-            return total
-        if prev_inc is not None and abs(inc) > 4.0 * abs(prev_inc) and abs(inc) > 1e-10:
-            raise DomainError(f"Mellin integral diverges at s = {s} (outside the strip)")
-        prev_inc = abs(inc)
-    if prev_inc is not None and prev_inc > 1e-8 * max(abs(total), 1e-300):
-        raise DomainError(f"Mellin integral not converged at s = {s}")
-    return total
+    return _log_window_quad(
+        lambda x: f(np.exp(x)) * np.exp(s * x), f"s = {s}", x0, max_doublings, limit
+    )
 
 
 def mellin_inverse(
@@ -72,7 +78,7 @@ def mellin_inverse(
         s = complex(c, tau)
         return F(s) * t ** (-s)
 
-    return _complex_quad(g, -T, T, limit=limit) / (2.0 * np.pi)
+    return quad(g, -T, T, limit=limit, complex_func=True)[0] / (2.0 * np.pi)
 
 
 def mellin_convolve(
@@ -85,20 +91,10 @@ def mellin_convolve(
     """(f *_M g)(t) = int_0^inf f(t/p) g(p) dp/p, in the log variable."""
     if t <= 0:
         raise DomainError("convolution point t must be positive")
-
-    def integrand(w: float) -> float:
-        return f(t * np.exp(-w)) * g(np.exp(w))
-
-    X = x0
-    total, _ = quad(integrand, -X, X, limit=400)
-    for _ in range(max_doublings):
-        hi, _ = quad(integrand, X, 2.0 * X, limit=400)
-        lo, _ = quad(integrand, -2.0 * X, -X, limit=400)
-        total += hi + lo
-        X *= 2.0
-        if abs(hi) + abs(lo) <= _TAIL_RTOL * max(abs(total), 1e-300):
-            break
-    return float(total)
+    total = _log_window_quad(
+        lambda w: f(t * np.exp(-w)) * g(np.exp(w)), f"t = {t}", x0, max_doublings, 400
+    )
+    return float(total.real)
 
 
 def mellin_parseval_check(
@@ -123,5 +119,5 @@ def mellin_parseval_check(
         s = complex(c, tau)
         return Mf(omega - s) * Mg(s)
 
-    rhs = _complex_quad(integrand, -T, T, limit=800) / (2.0 * np.pi)
+    rhs = quad(integrand, -T, T, limit=800, complex_func=True)[0] / (2.0 * np.pi)
     return lhs, rhs

@@ -192,6 +192,14 @@ def test_subordination_zero_mode_exact():
     assert lhs.values[0, 0] == rhs.values[0, 0]
 
 
+def test_subordination_sitewise_drawn_case():
+    # a draw on which a raw |K15 - G7| error estimate stopped early (1.74e-5)
+    d = delta_h(GridSpec(1, 1.0, Fraction(1, 4), 16))
+    pr = ModelParams(0.9282393526004363, 1.0696746240197068, 0.6647976455620032)
+    lhs, rhs = levy_subordination_check(d, 0.8791121940142335, pr)
+    assert lhs.sup_diff(rhs) / lhs.sup_norm() < 1e-5
+
+
 def test_subordination_degenerate_diffusion():
     # sigma2 = 0 collapses both sides to the undamped wave solution
     pr = ModelParams(mu=1.0, sigma2=0.0, hurst=0.7)
@@ -290,6 +298,9 @@ def test_mellin_barnes_reconstruction():
     direct = kg_kernel(SPEC16, 0.5, pr, 0).values[(0, 3)]
     res = mellin_barnes_kernel((3,), 0.5, SPEC16, pr, 0, T=40.0)
     assert abs(res.value - direct) < 1e-3
+    # a site needs one coordinate per lattice axis
+    with pytest.raises(ValueError, match="coordinates"):
+        mellin_barnes_kernel((3, 0), 0.5, SPEC16, pr, 0)
 
 
 def test_mellin_barnes_integrand_decays():

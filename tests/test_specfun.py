@@ -238,7 +238,18 @@ def test_levy_argument_validation():
 
 def test_levy_laplace_exp_minus_one():
     # int_0^inf e^{-u} L_{0.7}(u) du = e^{-1}
-    assert levy_laplace(0.7, 1.0) == pytest.approx(0.36787944117144233, rel=1e-8)
+    val = levy_laplace(0.7, 1.0)
+    assert type(val) is float
+    assert val == pytest.approx(0.36787944117144233, rel=1e-8)
+    # an array is integrated in one pass; s = 0 is the exact total mass
+    s = np.array([[0.0, 0.3], [1.0, 4.0]])
+    vals = levy_laplace(0.7, s)
+    assert vals.shape == s.shape
+    assert vals[0, 0] == 1.0
+    assert vals[1, 0] == pytest.approx(0.36787944117144233, rel=1e-8)
+    assert np.allclose(vals, np.exp(-(s**0.7)), rtol=1e-8, atol=0.0)
+    with pytest.raises(DomainError):
+        levy_laplace(0.7, np.array([1.0, -1e-3]))
 
 
 def test_levy_total_mass():
@@ -350,6 +361,12 @@ def test_mellin_parseval():
 def test_mellin_nonconvergent_strip_raises():
     with pytest.raises(DomainError):
         mellin_transform(lambda t: 1.0 / (1.0 + t), 2.5)
+
+
+def test_mellin_convolve_divergent_pair_raises():
+    # int_0^inf dp/p diverges at both ends; the doubling windows never settle
+    with pytest.raises(DomainError, match="not converged"):
+        mellin_convolve(lambda t: 1.0, lambda t: 1.0, 1.0)
 
 
 def test_mellin_complex_argument():
