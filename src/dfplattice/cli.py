@@ -11,7 +11,6 @@ applied before the numeric stack loads.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -50,12 +49,13 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=float, default=None, help="damping parameter p >= 0")
 
 
-def _add_io_args(p: argparse.ArgumentParser) -> None:
+def _add_io_args(p: argparse.ArgumentParser, reads_input: bool = True) -> None:
     p.add_argument("--config", type=str, default=None, help="JSON config file (flags override)")
     p.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
-    p.add_argument("--input", type=str, default=None,
-                   help="initial field CSV on the flag-specified grid (default: discrete delta)")
+    if reads_input:
+        p.add_argument("--input", type=str, default=None,
+                       help="initial field CSV on the flag-specified grid (default: discrete delta)")
 
 
 _DEFAULTS = {
@@ -91,27 +91,21 @@ def _model(cfg: dict):
 
 
 def _load_initial(cfg: dict, spec):
+    """The initial field and the manifest entry naming the file it was read from, if any."""
     from .fieldio import read_field_csv
     from .lattice import delta_h
 
     if cfg.get("input"):
         with open(cfg["input"]) as fh:
-            return read_field_csv(fh, spec)
-    return delta_h(spec)
+            return read_field_csv(fh, spec), {"input": cfg["input"]}
+    return delta_h(spec), {}
 
 
-def _manifest(cfg: dict, spec, extra: Optional[dict] = None) -> dict:
+def _manifest(cfg: dict, spec, extra: dict) -> dict:
     from .fieldio import grid_to_dict
 
-    doc = {
-        "grid": grid_to_dict(spec),
-        "config": {k: cfg[k] for k in sorted(cfg) if k not in ("out", "config", "input")},
-    }
-    if cfg.get("input"):
-        doc["input"] = cfg["input"]
-    if extra:
-        doc.update(extra)
-    return doc
+    config = {k: cfg[k] for k in sorted(cfg) if k not in ("out", "config", "input")}
+    return {"grid": grid_to_dict(spec), "config": config, **extra}
 
 
 def _write_output(cfg: dict, payload: str, manifest: Optional[dict] = None) -> None:
@@ -129,7 +123,7 @@ def _write_output(cfg: dict, payload: str, manifest: Optional[dict] = None) -> N
             fh.write(dumps_json(manifest))
 
 
-def _emit_field(field, cfg: dict, spec, extra: Optional[dict] = None) -> None:
+def _emit_field(field, cfg: dict, spec, extra: dict) -> None:
     """Write the field (+ manifest) in the requested format."""
     import io as _io
 
@@ -137,9 +131,7 @@ def _emit_field(field, cfg: dict, spec, extra: Optional[dict] = None) -> None:
 
     manifest = _manifest(cfg, spec, extra)
     if cfg["format"] == "json":
-        doc = field_to_json(field)
-        doc["manifest"] = manifest
-        _write_output(cfg, dumps_json(doc))
+        _write_output(cfg, dumps_json({**field_to_json(field), "manifest": manifest}))
         return
     buf = _io.StringIO()
     write_field_csv(field, buf)
@@ -158,8 +150,9 @@ def _cmd_evolve(args) -> int:
 
     cfg = _merge_config(args)
     spec = _grid(cfg)
-    field = dfp_evolve(_load_initial(cfg, spec), float(cfg["t"]), _model(cfg))
-    _emit_field(field, cfg, spec, {"command": "evolve", "t": float(cfg["t"])})
+    phi0, source = _load_initial(cfg, spec)
+    field = dfp_evolve(phi0, float(cfg["t"]), _model(cfg))
+    _emit_field(field, cfg, spec, {"command": "evolve", "t": float(cfg["t"]), **source})
     return EXIT_OK
 
 
@@ -185,8 +178,9 @@ def _cmd_kg(args) -> int:
 
     cfg = _merge_config(args)
     spec = _grid(cfg)
-    field = klein_gordon_evolve(_load_initial(cfg, spec), float(cfg["t"]), float(cfg["p"]), _model(cfg))
-    _emit_field(field, cfg, spec, {"command": "kg", "t": float(cfg["t"]), "p": float(cfg["p"])})
+    phi0, source = _load_initial(cfg, spec)
+    field = klein_gordon_evolve(phi0, float(cfg["t"]), float(cfg["p"]), _model(cfg))
+    _emit_field(field, cfg, spec, {"command": "kg", "t": float(cfg["t"]), "p": float(cfg["p"]), **source})
     return EXIT_OK
 
 
@@ -199,7 +193,7 @@ def _cmd_subordinate(args) -> int:
     spec = _grid(cfg)
     t = float(cfg["t"])
     params = _model(cfg)
-    phi0 = _load_initial(cfg, spec)
+    phi0, source = _load_initial(cfg, spec)
     lhs, rhs = levy_subordination_check(phi0, t, params)
     site_err = lhs.sup_diff(rhs) / max(lhs.sup_norm(), 1e-300)
     ml, mr = levy_subordination_modewise(phi0, t, params)
@@ -211,6 +205,7 @@ def _cmd_subordinate(args) -> int:
             "t": t,
             "sitewise_rel_err": site_err,
             "modewise_rel_err": mode_err,
+            **source,
         },
     )
     return EXIT_OK
@@ -301,33 +296,25 @@ def _cmd_mellin_barnes(args) -> int:
 
 
 def _cmd_dump_multiplier(args) -> int:
-    import csv as _csv
-    import io as _io
+    import numpy as np
 
+    from .fieldio import format_rows
     from .operators import dirac_multiplier, symbol_tables
 
     cfg = _merge_config(args)
     spec = _grid(cfg)
-    d2 = symbol_tables(spec).d2
     kind = str(cfg["kind"])
-    buf = _io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
     header = [f"k{j + 1}" for j in range(spec.n)] + ["d2"]
+    cols = [*np.meshgrid(*[spec.momentum_indices()] * spec.n, indexing="ij"), symbol_tables(spec).d2]
     if kind == "dirac":
         z = dirac_multiplier(spec).values
         for j in range(spec.n):
             header += [f"z{j + 1}_re", f"z{j + 1}_im", f"z{spec.n + j + 1}_re", f"z{spec.n + j + 1}_im"]
-    writer.writerow(header)
-    # rows in ascending signed mode number, read from the FFT-ordered tables
-    for modes in itertools.product(range(1 - spec.N // 2, spec.N // 2 + 1), repeat=spec.n):
-        idx = tuple(k % spec.N for k in modes)
-        row = list(modes) + [repr(float(d2[idx]))]
-        if kind == "dirac":
-            for j in range(spec.n):
-                zj, znj = complex(z[(1 << j,) + idx]), complex(z[(1 << (spec.n + j),) + idx])
-                row += [repr(zj.real), repr(zj.imag), repr(znj.real), repr(znj.imag)]
-        writer.writerow(row)
-    _write_output(cfg, buf.getvalue(), _manifest(cfg, spec, {"command": "dump-multiplier", "kind": kind}))
+            cols += [z[1 << j].real, z[1 << j].imag, z[1 << (spec.n + j)].real, z[1 << (spec.n + j)].imag]
+    # every node, in ascending signed mode number, read from the FFT-ordered tables
+    order = np.ix_(*[spec.ascending_modes()] * spec.n)
+    text = format_rows(header, zip(*(c[order].ravel().tolist() for c in cols)))
+    _write_output(cfg, text, _manifest(cfg, spec, {"command": "dump-multiplier", "kind": kind}))
     return EXIT_OK
 
 
@@ -364,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("kernel", help="emit a convolution kernel field")
-    _add_grid_args(p), _add_model_args(p), _add_io_args(p)
+    _add_grid_args(p), _add_model_args(p), _add_io_args(p, reads_input=False)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--beta", type=int, choices=(0, 1), default=None,
                    help="wave kernel selector; omit for the full flow kernel")

@@ -1,22 +1,22 @@
 """CSV / JSON serialization of fields.
 
 Row schema (both kinds): k1,..,kn,mask,re,im -- one row per (site, blade)
-with a nonzero coefficient, lexicographically ordered.  Site fields index
-sites 0..N-1; momentum fields use the signed mode numbers -N/2+1..N/2, so
-their rows run in ascending k although the arrays are stored in FFT order.
+with a nonzero coefficient, in lexicographic order, which the layout gives
+directly (blade axis last, momentum axes in ascending signed k).  Site fields
+index sites 0..N-1; momentum fields use the signed mode numbers -N/2+1..N/2.
 Floats are written as shortest round-trip reprs, so identical data produces
-identical bytes and a write/read cycle is exact.  Reading rejects site
-indices outside [0, N), mode numbers outside (-N/2, N/2] and blade masks
-outside [0, 4^n) with a ValueError that names the line.
+identical bytes and a write/read cycle is exact.  CSV and JSON rows share one
+reader, which rejects mis-sized and repeated rows, site indices outside
+[0, N), mode numbers outside (-N/2, N/2] and blade masks outside [0, 4^n)
+with a ValueError that names the CSV line or JSON row.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 from fractions import Fraction
-from typing import Iterable, List, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,49 +48,62 @@ def _header(n: int) -> List[str]:
     return [f"k{j + 1}" for j in range(n)] + ["mask", "re", "im"]
 
 
-def field_rows(field: Union[Field, MomentumField]) -> Iterable[Tuple]:
+def field_rows(field: Union[Field, MomentumField]) -> List[Tuple]:
     """Nonzero (indices..., mask, re, im) rows in lexicographic order."""
     spec = field.spec
-    labels = spec.momentum_indices().tolist() if isinstance(field, MomentumField) else range(spec.N)
-    nz = np.argwhere(field.values != 0)
-    rows = []
-    for entry in nz:
-        mask, idx = int(entry[0]), tuple(int(v) for v in entry[1:])
-        v = field.values[(mask,) + idx]
-        rows.append(tuple(labels[i] for i in idx) + (mask, float(v.real), float(v.imag)))
-    rows.sort(key=lambda r: r[: spec.n] + (r[spec.n],))
-    return rows
+    vals = np.moveaxis(field.values, 0, -1)  # blade axis last: nonzero() runs in row order
+    labels = np.arange(spec.N)
+    if isinstance(field, MomentumField):
+        asc = spec.ascending_modes()
+        vals, labels = vals[np.ix_(*[asc] * spec.n)], spec.momentum_indices()[asc]
+    *idx, mask = np.nonzero(vals)
+    coef = vals[(*idx, mask)]
+    cols = [labels[i].tolist() for i in idx] + [mask.tolist(), coef.real.tolist(), coef.imag.tolist()]
+    return list(zip(*cols))
+
+
+def format_rows(header: Sequence[str], rows: Iterable[Tuple]) -> str:
+    """CSV text of rows of ints and floats; str() of a float is its shortest round-trip repr."""
+    fmt = ",".join(["%s"] * len(header)) + "\n"
+    return fmt % tuple(header) + "".join(map(fmt.__mod__, rows))
 
 
 def write_field_csv(field: Union[Field, MomentumField], fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(_header(field.spec.n))
-    for row in field_rows(field):
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    fh.write(format_rows(_header(field.spec.n), field_rows(field)))
+
+
+def _read_rows(rows, spec: GridSpec, momentum: bool, where: str):
+    """The field of (position, row) pairs; ``where`` and the position name a bad row."""
+    n = spec.n
+    vals = np.zeros((spec.nblades,) + spec.site_shape, dtype=complex)
+    seen = set()
+    for pos, row in rows:
+        try:
+            if len(row) != n + 3:
+                raise ValueError(f"expected {n + 3} values, got {len(row)}")
+            *idx, mask = map(int, map(str, row[: n + 1]))  # str(): a JSON 1.5 fails like the text "1.5"
+            if momentum:
+                idx = [spec.mode_index(k) for k in idx]
+            elif not (0 <= min(idx) and max(idx) < spec.N):
+                raise ValueError(f"site index outside [0, {spec.N})")
+            if not 0 <= mask < spec.nblades:
+                raise ValueError(f"blade mask {mask} outside [0, {spec.nblades})")
+            key = (mask, *idx)
+            if key in seen:
+                raise ValueError("repeats the indices and mask of an earlier row")
+            seen.add(key)
+            vals[key] = complex(float(row[n + 1]), float(row[n + 2]))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where} {pos} ({','.join(map(str, row))}): {exc}") from None
+    return (MomentumField if momentum else Field)(spec, vals, _copy=False)
 
 
 def read_field_csv(fh, spec: GridSpec, momentum: bool = False):
     reader = csv.reader(fh)
-    header = next(reader)
+    header = next(reader, None)
     if header != _header(spec.n):
-        raise ValueError(f"unexpected CSV header {header}")
-    vals = np.zeros((spec.nblades,) + spec.site_shape, dtype=complex)
-    index = spec.mode_index if momentum else int
-    for row in reader:
-        if not row:
-            continue
-        try:
-            idx = tuple(index(v) for v in row[: spec.n])
-            mask = int(row[spec.n])
-            if not (momentum or 0 <= min(idx) and max(idx) < spec.N):
-                raise ValueError(f"site index outside [0, {spec.N})")
-            if not 0 <= mask < spec.nblades:
-                raise ValueError(f"blade mask {mask} outside [0, {spec.nblades})")
-        except ValueError as exc:
-            raise ValueError(f"CSV line {reader.line_num} ({','.join(row)}): {exc}") from None
-        vals[(mask,) + idx] = complex(float(row[spec.n + 1]), float(row[spec.n + 2]))
-    cls = MomentumField if momentum else Field
-    return cls(spec, vals, _copy=False)
+        raise ValueError("empty CSV: no header line" if header is None else f"unexpected CSV header {header}")
+    return _read_rows(((reader.line_num, row) for row in reader if row), spec, momentum, "CSV line")
 
 
 def field_to_json(field: Union[Field, MomentumField]) -> dict:
@@ -104,14 +117,7 @@ def field_to_json(field: Union[Field, MomentumField]) -> dict:
 
 def field_from_json(doc: dict):
     spec = grid_from_dict(doc["grid"])
-    momentum = doc.get("kind") == "momentum"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_header(spec.n))
-    for row in doc["rows"]:
-        writer.writerow(row)
-    buf.seek(0)
-    return read_field_csv(buf, spec, momentum=momentum)
+    return _read_rows(enumerate(doc["rows"], 1), spec, doc.get("kind") == "momentum", "JSON row")
 
 
 def dumps_json(doc: dict) -> str:

@@ -92,6 +92,10 @@ class GridSpec:
             raise ValueError(f"mode number {k} outside (-N/2, N/2] for N = {self.N}")
         return k % self.N
 
+    def ascending_modes(self) -> np.ndarray:
+        """Per-axis storage indices of the signed mode numbers -N/2+1 .. N/2, in that order."""
+        return np.roll(np.arange(self.N), self.N // 2 - 1)
+
     def xi_axis(self) -> np.ndarray:
         """Per-axis momentum node values 2*pi*k/(N*h), in storage order."""
         return 2.0 * np.pi * self.momentum_indices() / (self.N * self.h)

@@ -48,6 +48,9 @@ __all__ = [
     "default_contour_abscissa",
 ]
 
+_PANEL_WIDTH = 0.5  # Gauss panel width in tau
+_TAIL_TOL = 1e-6  # a larger tail bound makes the status "tail-warning"
+
 
 def _check_beta(beta: int) -> int:
     if beta not in (0, 1):
@@ -196,8 +199,6 @@ def mellin_barnes_kernel(
     beta: int,
     c: Optional[float] = None,
     T: float = 40.0,
-    panel_width: float = 0.5,
-    tail_tol: float = 1e-6,
 ) -> MellinBarnesResult:
     """Reconstruct K_beta(site, t) by vertical-contour Mellin inversion.
 
@@ -229,8 +230,8 @@ def mellin_barnes_kernel(
     d2 = symbol_tables(spec).d2
     c0 = _damping_constant(spec, params)
 
-    lo = np.arange(-T, T - 1e-12, panel_width)  # panel starts; the last panel ends at T
-    half = 0.5 * (np.minimum(lo + panel_width, T) - lo)[:, None]
+    lo = np.arange(-T, T - 1e-12, _PANEL_WIDTH)  # panel starts; the last panel ends at T
+    half = 0.5 * (np.minimum(lo + _PANEL_WIDTH, T) - lo)[:, None]
     nodes, weights = np.polynomial.legendre.leggauss(12)
     omega = c + 1j * (lo[:, None] + half * (nodes + 1.0))
     mvals = [np.sum(row * _mellin_mode_multiplier(d2, om, params, c0, beta)) for om in omega.flat]
@@ -240,5 +241,5 @@ def mellin_barnes_kernel(
     value = total / (2.0 * np.pi)
     decay = np.pi / (4.0 * params.hurst)
     tail = 2.0 * edge_mag / decay / (2.0 * np.pi)
-    status = "ok" if tail <= tail_tol else "tail-warning"
+    status = "ok" if tail <= _TAIL_TOL else "tail-warning"
     return MellinBarnesResult(complex(value), float(tail), status)

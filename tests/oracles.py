@@ -4,8 +4,9 @@ Each oracle re-derives a library operation through a different algorithm:
 blade products via sequence sorting instead of bitmask popcounts, transforms
 via explicit O(N^2) phase sums instead of FFTs, convolution via the literal
 double loop, the fractional Dirac operator via finite-difference
-stencils on a refined grid instead of its Fourier symbol, and Fox-Wright
-series via literal Gamma products instead of term ratios or log-Gammas.
+stencils on a refined grid instead of its Fourier symbol, Fox-Wright
+series via literal Gamma products instead of term ratios or log-Gammas, and
+field rows via a Python sort of every nonzero entry instead of the layout.
 """
 
 from __future__ import annotations
@@ -193,3 +194,33 @@ def fox_wright_partial_sum(upper, lower, lam: complex, terms: int = 100) -> Tupl
         total += term
         largest = max(largest, abs(term))
     return total, largest
+
+
+# ------------------------------------------------------------- field rows
+
+def field_rows_oracle(field) -> List[tuple]:
+    """(k..., mask, re, im) rows: every nonzero entry, then a Python sort on (k..., mask).
+
+    Momentum axes are labelled with signed mode numbers, storage index i
+    holding k = i for i <= N/2 and k = i - N above.
+    """
+    spec = field.spec
+    N = spec.N
+    signed = isinstance(field, MomentumField)
+    labels = [i if not signed or i <= N // 2 else i - N for i in range(N)]
+    rows = []
+    for entry in np.argwhere(field.values != 0):
+        mask, idx = int(entry[0]), tuple(int(v) for v in entry[1:])
+        v = complex(field.values[(mask,) + idx])
+        rows.append(tuple(labels[i] for i in idx) + (mask, v.real, v.imag))
+    rows.sort(key=lambda r: r[: spec.n] + (r[spec.n],))
+    return rows
+
+
+def field_csv_oracle(field) -> str:
+    """The field CSV: header, then the oracle rows with ints in decimal and floats by repr."""
+    header = [f"k{j + 1}" for j in range(field.spec.n)] + ["mask", "re", "im"]
+    lines = [",".join(header)]
+    for row in field_rows_oracle(field):
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"

@@ -240,6 +240,16 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+def test_kernel_rejects_input_flag(tmp_path, capsys):
+    # kernel reads no initial field, so --input is a usage error, not a silent no-op
+    out = tmp_path / "k.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "--input", str(tmp_path / "none.csv"), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--input" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numeric_error_exit_code(capsys):
     code, _, err = run_cli(
         ["evolve", "--dim", "1", "--points", "8", "--hurst", "1.5", "--t", "1"], capsys
@@ -249,7 +259,9 @@ def test_numeric_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
-    "row", ["-1,0,1.0,0.0", "8,0,1.0,0.0", "3,4,1.0,0.0"], ids=["site-1", "site-N", "mask-4^n"]
+    "row",
+    ["-1,0,1.0,0.0", "8,0,1.0,0.0", "3,4,1.0,0.0", "0,0,2.0,0.0", "1,0,1.0,0.0,9", "1,0"],
+    ids=["site-1", "site-N", "mask-4^n", "duplicate", "extra-column", "short"],
 )
 def test_input_csv_out_of_range_exit_code(tmp_path, capsys, row):
     path = tmp_path / "in.csv"
@@ -260,6 +272,29 @@ def test_input_csv_out_of_range_exit_code(tmp_path, capsys, row):
     assert code == 1
     assert out == ""
     assert f"line 3 ({row})" in err
+
+
+def test_input_csv_empty_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "in.csv"
+    path.write_text("")
+    code, out, err = run_cli(
+        ["evolve", "--dim", "1", "--points", "8", "--t", "0", "--input", str(path)], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "empty CSV" in err
+
+
+def test_manifest_names_input_only_when_read(tmp_path, capsys):
+    src = tmp_path / "in.csv"
+    src.write_text("k1,mask,re,im\n0,0,1.0,0.0\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": str(src), "dim": 1, "points": 8, "t": 0.2}))
+    for command in ("evolve", "kernel"):
+        out = tmp_path / f"{command}.csv"
+        assert run_cli([command, "--config", str(cfg), "--out", str(out)], capsys)[0] == 0
+        manifest = json.loads((tmp_path / f"{command}.csv.manifest.json").read_text())
+        assert manifest.get("input") == (str(src) if command == "evolve" else None)
 
 
 def test_thread_cap_env(tmp_path):

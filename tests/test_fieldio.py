@@ -1,8 +1,11 @@
 import io
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfplattice.fieldio import (
     field_from_json,
@@ -15,6 +18,7 @@ from dfplattice.fieldio import (
 )
 from dfplattice.lattice import Field, GridSpec, delta_h
 from dfplattice.spectral import MomentumField, dft_forward
+from oracles import field_csv_oracle, field_rows_oracle
 
 
 def random_field(spec, rng):
@@ -84,6 +88,13 @@ def test_json_roundtrip():
     g = field_from_json(doc)
     assert g.spec == spec
     assert np.array_equal(f.values, g.values)
+    # the JSON rows go through the CSV reader's checks, named by row number
+    doc["rows"] = [[0, 0, 1.0, 0.0], [0, 0, 5.0, 0.0]]
+    with pytest.raises(ValueError, match=r"JSON row 2 \(0,0,5.0,0.0\): repeats"):
+        field_from_json(doc)
+    doc["rows"] = [[1.5, 0, 1.0, 0.0]]
+    with pytest.raises(ValueError, match="JSON row 1"):
+        field_from_json(doc)
 
 
 def test_multivector_triples_roundtrip():
@@ -106,3 +117,38 @@ def test_rows_sorted_lexicographically():
     assert rows[0][:3] == (0, 3, 1)
     assert rows[1][:3] == (2, 1, 0)
     assert rows[2][:3] == (2, 1, 3)
+
+
+# coefficient parts that stress the float format: signed zero, subnormals,
+# reprs with an exponent, and ordinary values
+SPECIAL_PARTS = np.array([0.0, -0.0, 5e-324, -2.2e-310, 1e16, -1e-05, 0.1, 1.5, -2.75, 123456.789])
+
+
+@st.composite
+def sparse_fields(draw):
+    n, N = draw(st.integers(1, 3)), draw(st.sampled_from([4, 6, 8]))
+    spec = GridSpec(n, 1.0, Fraction(1, 4), N)
+    shape = (spec.nblades,) + spec.site_shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.001, 0.05, 0.5]))
+    vals = np.empty(shape, dtype=complex)  # parts set apart, so that -0.0 survives in both
+    vals.real, vals.imag = rng.choice(SPECIAL_PARTS, shape), rng.choice(SPECIAL_PARTS, shape)
+    vals[rng.random(shape) >= density] = 0.0
+    cls = MomentumField if draw(st.booleans()) else Field
+    return cls(spec, vals)
+
+
+@settings(max_examples=40)
+@given(sparse_fields())
+def test_rows_match_sorting_oracle(field):
+    buf = io.StringIO()
+    write_field_csv(field, buf)
+    text = buf.getvalue()
+    assert text == field_csv_oracle(field)
+    doc = field_to_json(field)
+    assert json.dumps(doc["rows"]) == json.dumps([list(r) for r in field_rows_oracle(field)])
+    momentum = isinstance(field, MomentumField)
+    for back in (read_field_csv(io.StringIO(text), field.spec, momentum=momentum), field_from_json(doc)):
+        assert type(back) is type(field)
+        assert np.array_equal(back.values, field.values)
+        assert field_csv_oracle(back) == text  # signs of zero parts survive as well
