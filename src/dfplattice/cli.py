@@ -11,6 +11,7 @@ applied before the numeric stack loads.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -67,14 +68,13 @@ _DEFAULTS = {
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
-    path = getattr(args, "config", None)
-    if path:
-        with open(path) as fh:
-            cfg.update(json.load(fh))
-    for key, val in vars(args).items():
-        if val is not None and key not in ("config", "func", "command"):
-            cfg[key] = val
+    """Defaults < JSON config file < flags, over the keys the subcommand's parser defines."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("config", "func", "command")}
+    cfg = {k: _DEFAULTS.get(k) for k in flags}
+    if getattr(args, "config", None):
+        with open(args.config) as fh:
+            cfg.update((k, v) for k, v in json.load(fh).items() if k in flags)
+    cfg.update((k, v) for k, v in flags.items() if v is not None)
     return cfg
 
 
@@ -104,38 +104,41 @@ def _load_initial(cfg: dict, spec):
 def _manifest(cfg: dict, spec, extra: dict) -> dict:
     from .fieldio import grid_to_dict
 
-    config = {k: cfg[k] for k in sorted(cfg) if k not in ("out", "config", "input")}
+    config = {k: cfg[k] for k in sorted(cfg) if k not in ("out", "input")}
     return {"grid": grid_to_dict(spec), "config": config, **extra}
 
 
-def _write_output(cfg: dict, payload: str, manifest: Optional[dict] = None) -> None:
-    """Write the payload to --out (plus ``<out>.manifest.json`` if given), else to stdout."""
+@contextlib.contextmanager
+def _output(cfg: dict, manifest: Optional[dict] = None):
+    """The handle to write to: --out (plus ``<out>.manifest.json`` if given), else stdout."""
     from .fieldio import dumps_json
 
     out = cfg.get("out")
     if not out:
-        sys.stdout.write(payload)
+        yield sys.stdout
         return
     with open(out, "w") as fh:
-        fh.write(payload)
+        yield fh
     if manifest is not None:
         with open(out + ".manifest.json", "w") as fh:
             fh.write(dumps_json(manifest))
 
 
+def _write_output(cfg: dict, payload: str, manifest: Optional[dict] = None) -> None:
+    with _output(cfg, manifest) as fh:
+        fh.write(payload)
+
+
 def _emit_field(field, cfg: dict, spec, extra: dict) -> None:
     """Write the field (+ manifest) in the requested format."""
-    import io as _io
-
     from .fieldio import dumps_json, field_to_json, write_field_csv
 
     manifest = _manifest(cfg, spec, extra)
     if cfg["format"] == "json":
         _write_output(cfg, dumps_json({**field_to_json(field), "manifest": manifest}))
         return
-    buf = _io.StringIO()
-    write_field_csv(field, buf)
-    _write_output(cfg, buf.getvalue(), manifest)
+    with _output(cfg, manifest) as fh:
+        write_field_csv(field, fh)
 
 
 def _complex_json(z: complex):

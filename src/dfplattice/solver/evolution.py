@@ -2,8 +2,10 @@
 flow, its convolution kernel, the damped wave (Klein-Gordon) solution, and
 the explicit time-stepping twin used as the independent oracle.
 
-Everything runs through the momentum representation.  The Dirac exponential
-splits as
+The closed-form solvers run through the momentum representation; the RK4
+twin multiplies by a dense generator built from the public operators and
+refuses states above ``STEPPED_STATE_CAP`` entries (1024: 2D N=8 passes, 3D
+N=4 does not).  The Dirac exponential splits as
 
     exp(i mu t z(xi)) = cos(mu t sqrt(d2)) + sin(mu t sqrt(d2))/sqrt(d2) * i z(xi)
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from ..clifford import AlgebraError
 from ..lattice import Field, GridSpec, delta_h
-from ..operators import apply_dirac_symbol_arrays, symbol_tables
+from ..operators import apply_dirac_symbol_arrays, dirac_apply, laplacian_apply, symbol_tables
 from ..specfun import bessel_i_scaled, gamma
 from ..spectral import MomentumField, dft_forward, dft_inverse
 from .params import ModelParams
@@ -136,6 +138,10 @@ def _stability_radius(spec: GridSpec, params: ModelParams, t_start: float, t_end
     return drift + diff
 
 
+# largest state (blades x sites) the dense RK4 generator takes; 1D N=32 has 128
+STEPPED_STATE_CAP = 1024
+
+
 def dfp_evolve_stepped(
     phi0: Field,
     t: float,
@@ -145,10 +151,13 @@ def dfp_evolve_stepped(
 ) -> Field:
     """Classical RK4 integration of the flow; the independent time-domain route.
 
-    For hurst < 1/2 the diffusion coefficient t^{2H-1} blows up at 0, so the
-    march starts at ``t_start`` (default 1e-2) from the spectral solution and
-    only the (regular) remainder is stepped.  Raises when the step count is
-    below the explicit stability requirement.
+    The right-hand side i mu D v + sigma2 H t^{2H-1} L v multiplies by the
+    matrices of ``dirac_apply`` and the stencil ``laplacian_apply``, built
+    from unit fields.  For hurst < 1/2 the coefficient t^{2H-1} blows up at
+    0, so the march starts at ``t_start`` > 0 (default 1e-2) from the spectral
+    solution and only the (regular) remainder is stepped.  Raises when the
+    step count is below the explicit stability requirement or the state has
+    more than ``STEPPED_STATE_CAP`` entries.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -156,7 +165,11 @@ def dfp_evolve_stepped(
         t_start = 0.0 if params.hurst >= 0.5 else 1e-2
     if t < t_start:
         raise ValueError("t must be >= the start time")
-    spec = phi0.spec
+    if t_start == 0.0 and params.hurst < 0.5:
+        raise ValueError("the start time must be > 0 for hurst < 1/2: t^{2H-1} is singular at 0")
+    spec, shape = phi0.spec, phi0.values.shape
+    if phi0.values.size > STEPPED_STATE_CAP:
+        raise ValueError(f"state of {phi0.values.size} entries exceeds the cap of {STEPPED_STATE_CAP}")
     dt = (t - t_start) / steps
     if dt > 0 and dt * _stability_radius(spec, params, t_start, t) > 1.5:
         raise ValueError(
@@ -164,40 +177,17 @@ def dfp_evolve_stepped(
             f"{int(np.ceil((t - t_start) * _stability_radius(spec, params, t_start, t) / 1.5))}"
         )
     state = phi0 if t_start == 0.0 else dfp_evolve(phi0, t_start, params)
-    vals = np.array(state.values, copy=True)
+    vals = state.values.ravel()
 
-    # raw-array plumbing identical to spectral.dft_forward/inverse, kept flat
-    # because this loop runs tens of thousands of right-hand sides
+    # the generator as dense matrices: column k is the operator applied to the
+    # k-th unit field, in the C order of ``Field.values``
+    units = [Field(spec, e.reshape(shape), _copy=False) for e in np.eye(vals.size, dtype=complex)]
+    drift = 1j * params.mu * np.stack([dirac_apply(u).values.ravel() for u in units], axis=1)
+    lap = np.stack([laplacian_apply(u, "stencil").values.ravel() for u in units], axis=1)
     expo = 2.0 * params.hurst - 1.0
-    h2 = spec.h**2
-    axes = spec.site_axes
-    fwd_scale = spec.cell_volume * (2.0 * np.pi) ** (-spec.n / 2.0) * spec.nsites
-    inv_scale = (2.0 * np.pi) ** (-spec.n / 2.0) * spec.momentum_weight
-
-    # periodic neighbours along one axis: take() with these equals np.roll(v, +-1)
-    # at a fraction of its per-call cost
-    behind, ahead = np.roll(np.arange(spec.N), 1), np.roll(np.arange(spec.N), -1)
-
-    def lap_stencil(v: np.ndarray) -> np.ndarray:
-        out = -2.0 * spec.n * v
-        for ax in axes:
-            out = out + v.take(behind, axis=ax) + v.take(ahead, axis=ax)
-        return out / h2
-
-    def time_weight(tc: float) -> float:
-        if tc > 0.0:
-            return tc**expo
-        # t = 0: t^expo is 1 for expo = 0 (H = 1/2), 0 for expo > 0; the
-        # singular expo < 0 case never reaches 0 because t_start > 0 then
-        return 1.0 if expo == 0.0 else 0.0
 
     def rhs(tc: float, v: np.ndarray) -> np.ndarray:
-        zF = apply_dirac_symbol_arrays(np.fft.ifftn(v, axes=axes) * fwd_scale, spec)
-        dirac = np.fft.fftn(zF, axes=axes) * inv_scale
-        out = 1j * params.mu * dirac
-        if params.sigma2 != 0.0:
-            out = out + (params.sigma2 * params.hurst * time_weight(tc)) * lap_stencil(v)
-        return out
+        return drift @ v + (params.sigma2 * params.hurst * tc**expo) * (lap @ v)
 
     tc = t_start
     for _ in range(steps):
@@ -207,7 +197,7 @@ def dfp_evolve_stepped(
         k4 = rhs(tc + dt, vals + dt * k3)
         vals = vals + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         tc += dt
-    return Field(spec, vals, _copy=False)
+    return Field(spec, vals.reshape(shape), _copy=False)
 
 
 def wilson_diffusion_coefficient(hurst: float) -> float:

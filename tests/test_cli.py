@@ -295,6 +295,9 @@ def test_manifest_names_input_only_when_read(tmp_path, capsys):
         assert run_cli([command, "--config", str(cfg), "--out", str(out)], capsys)[0] == 0
         manifest = json.loads((tmp_path / f"{command}.csv.manifest.json").read_text())
         assert manifest.get("input") == (str(src) if command == "evolve" else None)
+        # config lists only the keys the subcommand's own parser defines
+        unread = {"T", "c", "kind", "site"} | ({"route", "beta"} if command == "evolve" else set())
+        assert not unread & set(manifest["config"])
 
 
 def test_thread_cap_env(tmp_path):

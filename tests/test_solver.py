@@ -122,6 +122,25 @@ def test_stepped_oracle_starts_after_singularity():
     pr = ModelParams(mu=1.0, sigma2=1.0, hurst=0.3)
     with pytest.raises(ValueError, match="start"):
         dfp_evolve_stepped(delta_h(SPEC32), 0.005, pr, steps=10)
+    # t^{2H-1} is singular at 0 for H < 1/2: an explicit zero start is refused
+    with pytest.raises(ValueError, match="start time must be > 0"):
+        dfp_evolve_stepped(delta_h(SPEC32), 1.0, ModelParams(1.0, 1.0, 0.45), steps=500, t_start=0.0)
+
+
+def test_stepped_oracle_two_dimensional_all_blades():
+    # the dense generator's columns run over blades and both site axes
+    spec = GridSpec(2, 1.0, Fraction(1, 4), 4)
+    phi0 = random_field(spec, np.random.default_rng(3))
+    pr = ModelParams(mu=1.0, sigma2=1.0, hurst=0.5)  # constant diffusion: RK4 order holds from 0
+    exact = dfp_evolve(phi0, 0.5, pr)
+    stepped = dfp_evolve_stepped(phi0, 0.5, pr, steps=400)
+    assert stepped.sup_diff(exact) / exact.sup_norm() < 1e-6
+
+
+def test_stepped_oracle_refuses_states_above_cap():
+    spec = GridSpec(3, 1.0, Fraction(1, 4), 4)  # 64 blades x 64 sites
+    with pytest.raises(ValueError, match="cap"):
+        dfp_evolve_stepped(delta_h(spec), 1e-3, PARAMS, steps=1)
 
 
 # normalization of the evolved delta (H = 0.3, 0.75; t = 0.25, 1, 3) is
