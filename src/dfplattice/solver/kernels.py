@@ -111,8 +111,12 @@ def default_contour_abscissa(params: ModelParams, beta: int) -> float:
     return params.hurst - 0.5 * beta
 
 
-def _mellin_mode_multiplier(d2, omega: complex, params: ModelParams, c0: float, beta: int):
-    """sqrt(pi) (mu/2)^beta / (2H) c0^{-(beta+omega)/(2H)} 1Psi1[...; -(mu^2 d2/4) c0^{-1/H}]."""
+def _mellin_mode_multiplier(d2, omega, params: ModelParams, c0: float, beta: int):
+    """sqrt(pi) (mu/2)^beta / (2H) c0^{-(beta+omega)/(2H)} 1Psi1[...; -(mu^2 d2/4) c0^{-1/H}].
+
+    ``omega`` may be an array broadcasting against ``d2``: the contour nodes
+    then form the series' parameter axis, summed in one call.
+    """
     H = params.hurst
     series = FoxWrightParams(
         (((beta + omega) / (2.0 * H), 1.0 / H),),
@@ -203,11 +207,21 @@ def mellin_barnes_kernel(
     """Reconstruct K_beta(site, t) by vertical-contour Mellin inversion.
 
     Integrates (1/2 pi) M{K_beta(site,.)}(c + i tau) t^{-c-i tau} over
-    tau in [-T, T] with composite Gauss panels.  The integrand decays like
-    exp(-pi |tau| / (4H)) through the Gamma factors; the reported tail bound
-    extrapolates that decay from the last sampled point.
+    tau in [-T, T] with composite Gauss panels.  The transform at the site
+    is the Parseval row against the mode multipliers; the 1Psi1 series of
+    every (contour node, distinct d2) pair is summed in one Fox-Wright call
+    over the node axis, so each series still reports its own cancellation.
+    The integrand decays like exp(-pi |tau| / (4H)) through the Gamma
+    factors; the reported tail bound extrapolates that decay from the last
+    sampled point.  t, T and c must be finite and T > 0 (ValueError).
     """
     beta = _check_beta(beta)
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    if not (np.isfinite(T) and T > 0.0):
+        raise ValueError(f"T must be finite and positive, got {T}")
+    if c is not None and not np.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
     if t == 0.0 and beta == 1:
         # the sine kernel vanishes identically at t = 0
         return MellinBarnesResult(0.0 + 0.0j, 0.0, "ok")
@@ -222,20 +236,24 @@ def mellin_barnes_kernel(
     if len(site) != spec.n:
         raise ValueError(f"site {tuple(site)} needs {spec.n} coordinates")
     # Parseval against the delta at the site reads one value of the kernel:
-    # K_beta(site) = sum_k row_k m_k for the mode multiplier m on the scalar blade
+    # K_beta(site) = sum_k row_k m_k for the mode multiplier m on the scalar blade;
+    # modes sharing a value of d2 share m, so their row entries are added first
     d0 = delta_h(spec)
     shift = tuple(int(k) for k in site)
     at_site = Field(spec, np.roll(d0.values, shift, axis=spec.site_axes), _copy=False)
     row = spec.momentum_weight * np.conj(dft_forward(at_site).values[0]) * dft_forward(d0).values[0]
-    d2 = symbol_tables(spec).d2
+    d2, modes = np.unique(symbol_tables(spec).d2, return_inverse=True)
+    weight = np.zeros(d2.shape, dtype=complex)
+    np.add.at(weight, modes.reshape(-1), row.reshape(-1))
     c0 = _damping_constant(spec, params)
 
     lo = np.arange(-T, T - 1e-12, _PANEL_WIDTH)  # panel starts; the last panel ends at T
     half = 0.5 * (np.minimum(lo + _PANEL_WIDTH, T) - lo)[:, None]
     nodes, weights = np.polynomial.legendre.leggauss(12)
     omega = c + 1j * (lo[:, None] + half * (nodes + 1.0))
-    mvals = [np.sum(row * _mellin_mode_multiplier(d2, om, params, c0, beta)) for om in omega.flat]
-    vals = np.reshape(mvals, omega.shape) * t ** (-omega)
+    # one series call over (contour nodes x distinct d2), contracted with the summed row
+    mvals = _mellin_mode_multiplier(d2, omega.reshape(-1, 1), params, c0, beta) @ weight
+    vals = mvals.reshape(omega.shape) * t ** (-omega)
     total = np.sum(half * weights * vals)
     edge_mag = float(np.max(np.abs(vals[[0, -1]])))
     value = total / (2.0 * np.pi)

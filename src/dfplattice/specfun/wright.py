@@ -3,18 +3,25 @@
 The series  sum_m  prod_k Gamma(a_k + A_k m) / prod_l Gamma(b_l + B_l m)
             * lam^m / m!
 is summed by one driver, ``_sum_series``, for a scalar or an array of
-arguments sharing one parameter set.  Admissibility follows the standard
-trichotomy on Delta = sum B_l - sum A_k:
+arguments.  A row value a_k or b_l may itself be an array: the rows then
+form a parameter axis that broadcasts against lam, and each element of the
+broadcast shape is the series of its own parameter set (the Mellin-Barnes
+contour, one set per node, is one call).  Weights stay scalars, so Delta
+and rho are one per call.  Admissibility follows the standard trichotomy
+on Delta = sum B_l - sum A_k:
 
 * Delta > -1: entire in lam;
 * Delta = -1: |lam| < rho converges, |lam| = rho needs Re kappa > 1/2,
   with rho = prod |B_l|^B_l / prod |A_k|^A_k and
-  kappa = sum b_l - sum a_k + (p - q)/2;
+  kappa = sum b_l - sum a_k + (p - q)/2 (the smallest Re kappa on the axis);
 * Delta < -1: divergent for lam != 0.
 
 The driver checks admissibility once per call, at the largest |lam|, takes
-the m = 0 term from Gamma and 1/Gamma directly, and generates the terms
-m >= 1 in blocks of ``_BLOCK`` for all elements at once.
+the m = 0 terms from Gamma and 1/Gamma directly, and generates the terms
+m >= 1 in blocks of ``_BLOCK`` for the elements of a slab at once.  Slabs
+hold at most ``_SLAB`` elements, which bounds the block arrays whatever the
+size of the call; each block's coefficients are built once per parameter
+set in the slab, as a (terms x sets) array, and gathered per element.
 
 * Coefficient rule.  When every row (v, w) has real v > 0 and a
   positive-integer weight w, and every lam is real, term m is term m - 1
@@ -26,8 +33,9 @@ m >= 1 in blocks of ``_BLOCK`` for all elements at once.
   each term is the exponential of a sum of log-Gammas: denominator pole
   terms are exact zeros, numerator poles are genuine parameter
   singularities and raise.  A ratio block that leaves the double range
-  switches the call to log-Gammas for the remaining blocks.  The block
-  coefficients depend on the parameters only and are cached.
+  switches the slab to log-Gammas for the remaining blocks.  The block
+  coefficients depend on the parameters only; those of scalar rows are
+  cached.
 * Rescale.  Each element's terms and partial sums are held in units of
   2^e, with e raised after every block to the binary exponent of the
   largest term so far; the rescale is an exact power of two, so nothing
@@ -43,7 +51,7 @@ m >= 1 in blocks of ``_BLOCK`` for all elements at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Tuple, Union
 
@@ -65,25 +73,42 @@ __all__ = [
 ]
 
 _BLOCK = 25          # terms per block, and the window of the stopping rule
+_SLAB = 1024         # elements summed together, which bounds the block arrays
 _MAX_TERMS = 100_000
 _TERM_EPS = 1e-16
 _LN2 = math.log(2.0)
 
 
+def _row_value(v):
+    """A row value as a complex, or as a read-only complex array for a parameter axis."""
+    if np.ndim(v) == 0:
+        return complex(v)
+    v = np.array(v, dtype=complex)
+    v.flags.writeable = False
+    return v
+
+
 @dataclass(frozen=True)
 class FoxWrightParams:
-    """Parameter rows (a_k, A_k) over (b_l, B_l); weights must be nonzero."""
+    """Parameter rows (a_k, A_k) over (b_l, B_l); weights must be nonzero.
+
+    A row value a_k or b_l may be an array: the rows then broadcast to a
+    parameter axis of shape ``shape``, which in turn broadcasts against lam.
+    Weights are scalars, so Delta and rho are one per call.
+    """
 
     upper: Tuple[Tuple[complex, float], ...]
     lower: Tuple[Tuple[complex, float], ...]
+    shape: Tuple[int, ...] = field(init=False, repr=False, compare=False)  # () for scalar rows
 
     def __post_init__(self):
-        up = tuple((complex(a), float(A)) for a, A in self.upper)
-        lo = tuple((complex(b), float(B)) for b, B in self.lower)
+        up = tuple((_row_value(a), float(A)) for a, A in self.upper)
+        lo = tuple((_row_value(b), float(B)) for b, B in self.lower)
         if any(A == 0.0 for _, A in up) or any(B == 0.0 for _, B in lo):
             raise ValueError("Fox-Wright weights must be nonzero")
         object.__setattr__(self, "upper", up)
         object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "shape", np.broadcast_shapes(*(np.shape(v) for v, _ in up + lo)))
 
     @property
     def delta(self) -> float:
@@ -96,7 +121,7 @@ class FoxWrightParams:
         return num / den
 
     @property
-    def kappa(self) -> complex:
+    def kappa(self) -> Union[complex, np.ndarray]:
         return (
             sum((b for b, _ in self.lower), 0j)
             - sum((a for a, _ in self.upper), 0j)
@@ -111,34 +136,37 @@ class FoxWrightParams:
         return "divergent"
 
     def check_admissible(self, lam: complex) -> None:
+        """Raise unless the series converges at |lam|, for every parameter set on the axis."""
         lam = complex(lam)
         kind = self.convergence_kind()
         if kind == "entire" or lam == 0.0:
             return
+        kappa = np.ravel(self.kappa)
+        kappa = complex(kappa[np.argmin(kappa.real)])  # the boundary case is decided by min Re kappa
         if kind == "divergent":
             raise DomainError(
                 f"series divergent: Delta = {self.delta} < -1 "
-                f"(rho = {self.rho}, kappa = {self.kappa})"
+                f"(rho = {self.rho}, kappa = {kappa})"
             )
         r, rho = abs(lam), self.rho
         if r < rho * (1.0 - 1e-13):
             return
         if r <= rho * (1.0 + 1e-13):
-            if self.kappa.real > 0.5:
+            if kappa.real > 0.5:
                 return
             raise DomainError(
                 f"boundary |lam| = rho = {rho} requires Re kappa > 1/2, "
-                f"got kappa = {self.kappa} (Delta = {self.delta})"
+                f"got kappa = {kappa} (Delta = {self.delta})"
             )
         raise DomainError(
             f"|lam| = {r} outside radius rho = {rho} "
-            f"(Delta = {self.delta}, kappa = {self.kappa})"
+            f"(Delta = {self.delta}, kappa = {kappa})"
         )
 
 
 @dataclass(frozen=True)
 class FoxWrightValue:
-    """Scalars for a scalar lam; for an array lam, arrays of its shape except terms_used."""
+    """Scalars for scalar lam and rows; otherwise arrays of their broadcast shape, except terms_used."""
 
     value: Union[complex, np.ndarray]
     status: Union[str, np.ndarray]           # "converged" | "max-terms"
@@ -146,81 +174,123 @@ class FoxWrightValue:
     cancellation: Union[float, np.ndarray]   # max |term| / |value|, the digits-lost indicator
 
 
-def _m0_term(params: FoxWrightParams) -> complex:
+def _m0_term(params: FoxWrightParams):
+    """Gamma(a) / Gamma(b) products: a complex, or an array over the parameter axis."""
     out = 1.0 + 0.0j
     for a, _ in params.upper:
-        out *= gamma(a)  # raises at poles
+        out = out * gamma(a)  # raises at poles
     for b, _ in params.lower:
-        out *= recip_gamma(b)
+        out = out * recip_gamma(b)
     return out
 
 
-@lru_cache(maxsize=256)
-def _coefficients(params: FoxWrightParams, start: int, stop: int, exact: bool):
+def _coefficients(upper, lower, start: int, stop: int, exact: bool):
     """Columns of m = start..stop-1 and of t_m / (lam t_{m-1}) (exact) or log(t_m / lam^m).
 
-    The exact ratios are Pochhammer products in extended precision; a log
-    coefficient of -inf marks a denominator pole (an exact zero term).
+    Row values are scalars or 1-d arrays over P parameter sets; the
+    coefficients come as a (terms x P) array, one column per set.  The exact
+    ratios are Pochhammer products in extended precision; a log coefficient
+    of -inf marks a denominator pole (an exact zero term).
     """
-    m = np.arange(start, stop, dtype=float)
+    m = np.arange(start, stop, dtype=float)[:, None]
     if exact:
         k = m.astype(np.longdouble)
         coef = 1.0 / k
-        for a, A in params.upper:
+        for a, A in upper:
             for i in range(int(A)):
-                coef = coef * (a.real + A * (k - 1.0) + i)
-        for b, B in params.lower:
+                coef = coef * (np.real(a) + A * (k - 1.0) + i)
+        for b, B in lower:
             for i in range(int(B)):
-                coef = coef / (b.real + B * (k - 1.0) + i)
+                coef = coef / (np.real(b) + B * (k - 1.0) + i)
     else:
         num = -_gammaln(m + 1.0)
-        for a, A in params.upper:
+        for a, A in upper:
             num = num + log_gamma(a + A * m)
         den = 0.0
-        for b, B in params.lower:
+        for b, B in lower:
             den = den + log_gamma(b + B * m)
         if not np.isfinite(num).all():
             raise DomainError("Gamma pole among upper parameters a_k + A_k m")
         coef = np.where(np.isfinite(den), num - den, -np.inf)
-    m, coef = m[:, None], coef[:, None]
+    return m, coef
+
+
+@lru_cache(maxsize=256)
+def _cached_coefficients(params: FoxWrightParams, start: int, stop: int, exact: bool):
+    """``_coefficients`` of scalar rows, cached: they depend on the parameters only."""
+    m, coef = _coefficients(params.upper, params.lower, start, stop, exact)
     m.flags.writeable = coef.flags.writeable = False  # the cache hands them to every caller
     return m, coef
 
 
-def _sum_series(params: FoxWrightParams, lam: np.ndarray, max_terms: int):
+def _block_coefficients(params: FoxWrightParams, sets, col, start: int, stop: int, exact: bool):
+    """``_coefficients`` with one column per element: element j has set ``sets[col[j]]``.
+
+    Scalar rows (``sets`` None) return their one cached column instead.
+    """
+    if sets is None:
+        return _cached_coefficients(params, start, stop, exact)
+    on = lambda rows: tuple((np.broadcast_to(v, params.shape).reshape(-1)[sets], w) for v, w in rows)
+    m, coef = _coefficients(on(params.upper), on(params.lower), start, stop, exact)
+    return m, coef.take(col, axis=1)  # C order, so blocks sum as scalar-row blocks do
+
+
+def _sum_series(params: FoxWrightParams, lam: np.ndarray, pid: np.ndarray, max_terms: int):
     """The series at every element of the 1-d complex array ``lam``.
 
-    Returns the values, a converged flag and the cancellation per element,
-    and the most terms any element took.
+    Element j takes the parameter set ``pid[j]`` of the flattened parameter
+    axis.  Returns the values, a converged flag and the cancellation per
+    element, and the most terms any element took.
     """
     params.check_admissible(np.abs(lam).max(initial=0.0))  # admissibility depends on |lam| only
-    t0 = _m0_term(params)
-    # per element: partial sum in units of 2^exps, largest |term| in the same units
-    sums = np.full(lam.shape, t0)
-    exps = np.zeros(lam.shape, dtype=int)
-    peaks = np.full(lam.shape, abs(t0))
+    t0 = np.ravel(_m0_term(params))  # one per parameter set
+    # positive-integer weights with positive real rows admit exact term ratios
+    exact = not np.any(lam.imag) and all(
+        w == int(w) and w > 0 and np.all(np.imag(v) == 0.0) and np.all(np.real(v) > 0.0)
+        for v, w in params.upper + params.lower
+    )
+    value = np.empty(lam.shape, dtype=complex)
     converged = np.ones(lam.shape, dtype=bool)
+    cancellation = np.empty(lam.shape)
+    terms_used = 1
+    for lo in range(0, lam.size, _SLAB):
+        part = slice(lo, lo + _SLAB)
+        # the parameter sets of this slab, and each element's column among them
+        sets, col = np.unique(pid[part], return_inverse=True) if params.shape else (None, pid[part])
+        terms = _sum_slab(
+            params, sets, lam[part], t0[pid[part]], col, exact, max_terms,
+            value[part], converged[part], cancellation[part],
+        )
+        terms_used = max(terms_used, terms)
+    return value, converged, cancellation, terms_used
+
+
+def _sum_slab(params, sets, lam, t0, col, exact, max_terms, value, converged, cancellation):
+    """Sum one slab into ``value``, ``converged`` and ``cancellation``; returns the terms taken.
+
+    ``t0`` is each element's m = 0 term, ``col`` the index of its parameter
+    set in ``sets`` (see ``_block_coefficients``).
+    """
+    # per element: partial sum in units of 2^exps, largest |term| in the same units
+    sums = t0.copy()
+    exps = np.zeros(lam.shape, dtype=int)
+    peaks = np.abs(t0)
     # the same for the unfinished elements, with lam, the last term and the largest block-end |sum|
     live = np.flatnonzero(lam)
-    x, acc, e, big = lam[live], sums[live], exps[live], peaks[live]
+    x, acc, e, big, col = lam[live], sums[live], exps[live], peaks[live], col[live]
     last, top = acc.real, big
-    # positive-integer weights with positive real rows admit exact term ratios
-    rows = params.upper + params.lower
-    exact = not np.any(lam.imag) and all(
-        w == int(w) and w > 0 and v.imag == 0.0 and v.real > 0.0 for v, w in rows
-    )
     m0 = 1
     with np.errstate(all="ignore"):
         while live.size and m0 < max_terms:
             stop = min(m0 + _BLOCK, max_terms)
             if exact:
-                m, ratio = _coefficients(params, m0, stop, True)
+                m, ratio = _block_coefficients(params, sets, col, m0, stop, True)
                 terms = last * (ratio * x.real).cumprod(axis=0)
                 tmag = np.abs(terms).max(axis=0)
                 exact = bool(np.isfinite(tmag.astype(float)).all())
                 up = np.maximum(np.frexp(tmag)[1], 0)
             if not exact:
-                m, logc = _coefficients(params, m0, stop, False)
+                m, logc = _block_coefficients(params, sets, col, m0, stop, False)
                 logt = logc + m * np.log(x)
                 up = np.maximum(np.ceil(logt.real.max(axis=0) / _LN2) - e, 0).astype(int)
                 terms = np.exp(logt - (e + up) * _LN2)
@@ -242,27 +312,34 @@ def _sum_series(params: FoxWrightParams, lam: np.ndarray, max_terms: int):
                 idx = live[done]
                 sums[idx], exps[idx], peaks[idx] = acc[done], e[done], big[done]
                 keep = ~done
-                state = (live, x, acc, e, big, last, top)
-                live, x, acc, e, big, last, top = (v[keep] for v in state)
+                state = (live, x, acc, e, big, last, top, col)
+                live, x, acc, e, big, last, top, col = (v[keep] for v in state)
         converged[live] = False  # left only when max_terms <= 1
-        cancellation = peaks / np.abs(sums)
-        value = np.empty_like(sums)
+        cancellation[:] = peaks / np.abs(sums)
         value.real, value.imag = np.ldexp(sums.real, exps), np.ldexp(sums.imag, exps)
     cancellation[lam == 0] = 1.0
-    return value, converged, cancellation, m0
+    return m0
 
 
 def fox_wright_eval(
     params: FoxWrightParams, lam: Union[complex, np.ndarray], max_terms: int = _MAX_TERMS
 ) -> FoxWrightValue:
-    """Evaluate the series with full status reporting, at a scalar or an array lam."""
+    """Evaluate the series with full status reporting, at a scalar or an array lam.
+
+    Array rows broadcast against lam; the result has the broadcast shape.
+    """
     lam = np.asarray(lam, dtype=complex)
-    value, converged, cancellation, terms = _sum_series(params, lam.reshape(-1), max_terms)
-    if lam.ndim == 0:
+    if params.shape:  # each element's index on the flattened parameter axis
+        lam, pid = np.broadcast_arrays(lam, np.arange(math.prod(params.shape)).reshape(params.shape))
+    else:
+        pid = np.zeros(lam.shape, dtype=int)
+    shape = lam.shape
+    value, converged, cancellation, terms = _sum_series(params, lam.reshape(-1), pid.reshape(-1), max_terms)
+    if not shape:
         status = "converged" if converged[0] else "max-terms"
         return FoxWrightValue(complex(value[0]), status, terms, float(cancellation[0]))
-    status = np.where(converged, "converged", "max-terms").reshape(lam.shape)
-    return FoxWrightValue(value.reshape(lam.shape), status, terms, cancellation.reshape(lam.shape))
+    status = np.where(converged, "converged", "max-terms").reshape(shape)
+    return FoxWrightValue(value.reshape(shape), status, terms, cancellation.reshape(shape))
 
 
 def fox_wright(params: FoxWrightParams, lam: Union[complex, np.ndarray]):

@@ -5,7 +5,7 @@ import pytest
 
 from dfplattice.lattice import Field, GridSpec, delta_h, mass, normalization_check
 from dfplattice.operators import dirac_apply, symbol_tables
-from dfplattice.specfun import DomainError, bessel_i_scaled
+from dfplattice.specfun import DomainError, bessel_i_scaled, fox_wright
 from dfplattice.spectral import convolve
 from dfplattice.solver import (
     ModelParams,
@@ -320,6 +320,36 @@ def test_mellin_barnes_reconstruction():
     # a site needs one coordinate per lattice axis
     with pytest.raises(ValueError, match="coordinates"):
         mellin_barnes_kernel((3, 0), 0.5, SPEC16, pr, 0)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("t", _NAN), ("t", _INF), ("T", 0.0), ("T", -5.0), ("T", _NAN), ("T", _INF), ("c", _NAN), ("c", _INF)],
+    ids=lambda v: str(v),
+)
+def test_mellin_barnes_rejects_bad_arguments(name, value):
+    args = {"t": 0.5, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        mellin_barnes_kernel((0,), args.pop("t"), SPEC16, ModelParams(1.0, 1.0, 0.8), 0, **args)
+
+
+def test_mellin_barnes_sums_the_contour_in_one_series_call(monkeypatch):
+    from dfplattice.solver import kernels
+
+    calls = []
+
+    def counted(params, lam):
+        calls.append(params.shape)
+        return fox_wright(params, lam)
+
+    monkeypatch.setattr(kernels, "fox_wright", counted)
+    res = mellin_barnes_kernel((0,), 0.5, SPEC16, ModelParams(1.0, 1.0, 0.8), 0)
+    assert res.status == "ok"
+    assert len(calls) == 1  # a per-node loop would make one call per contour node
+    assert calls[0][0] > 1000
 
 
 def test_mellin_barnes_integrand_decays():

@@ -187,6 +187,55 @@ def test_fox_wright_matches_partial_sum_oracle(rows, lam):
         assert abs(g - want) <= 1e-12 * largest
 
 
+@st.composite
+def mellin_axes(draw):
+    """Mellin-Barnes rows with one upper value per contour node, shape (P, 1)."""
+    nodes = st.builds(complex, st.floats(0.2, 1.5), st.floats(-20.0, 20.0))
+    a = np.array(draw(st.lists(nodes, min_size=1, max_size=5)))[:, None]
+    A = 1.0 / draw(st.floats(0.75, 0.95))
+    return a, A, draw(st.sampled_from([0.5, 1.5]))
+
+
+@given(mellin_axes(), lam_arrays)
+def test_fox_wright_parameter_axis_matches_oracle(axis, lam):
+    a, A, b = axis
+    res = fox_wright_eval(FoxWrightParams(((a, A),), ((b, 1.0),)), lam)
+    shape = (a.shape[0], lam.size)
+    assert res.value.shape == res.status.shape == res.cancellation.shape == shape
+    for (p, j), got in np.ndenumerate(res.value):
+        upper = ((a[p, 0], A),)
+        want, largest = fox_wright_partial_sum(upper, ((b, 1.0),), lam[j])
+        assert abs(got - want) <= 1e-12 * largest
+        # the scalar call sums the same terms, possibly in another order
+        single = fox_wright_eval(FoxWrightParams(upper, ((b, 1.0),)), lam[j])
+        assert abs(got - single.value) <= 1e-14 * largest
+        assert res.status[p, j] == single.status
+
+
+@pytest.mark.parametrize("pole", [0.0, -1.0])
+def test_fox_wright_parameter_axis_pole_raises(pole):
+    a = np.array([0.7 + 2.0j, pole, 1.1 - 3.0j])[:, None]
+    with pytest.raises(DomainError, match="pole"):
+        fox_wright(FoxWrightParams(((a, 1.25),), ((0.5, 1.0),)), np.array([-0.3, 0.8]))
+
+
+@pytest.mark.parametrize("axis", [True, False], ids=["parameter-axis", "scalar-rows"])
+def test_fox_wright_slabs_match_per_slab_calls(axis):
+    from dfplattice.specfun.wright import _SLAB
+
+    n = _SLAB + 37
+    rng = np.random.default_rng(8)
+    lam = rng.uniform(-1.4, 1.4, n) + 1j * rng.uniform(-1.4, 1.4, n)
+    a = rng.uniform(0.2, 1.5, n) + 1j * rng.uniform(-20.0, 20.0, n) if axis else np.full(n, 0.7 + 2.0j)
+    rows = lambda s: FoxWrightParams(((a[s] if axis else a[0], 1.25),), ((0.5, 1.0),))
+    whole = fox_wright_eval(rows(slice(None)), lam)
+    parts = [fox_wright_eval(rows(s), lam[s]) for s in (slice(0, _SLAB), slice(_SLAB, n))]
+    assert np.array_equal(whole.value, np.concatenate([r.value for r in parts]))
+    assert np.array_equal(whole.cancellation, np.concatenate([r.cancellation for r in parts]))
+    assert np.array_equal(whole.status, np.concatenate([r.status for r in parts]))
+    assert whole.terms_used == max(r.terms_used for r in parts)
+
+
 # --------------------------------------------------------- mittag-leffler
 
 def test_mittag_leffler_examples():
