@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _PANEL_WIDTH = 0.5  # Gauss panel width in tau
+_PANEL_SLIVER = 1e-12  # a last panel narrower than this is dropped; T must exceed it
 _TAIL_TOL = 1e-6  # a larger tail bound makes the status "tail-warning"
 
 
@@ -213,13 +214,13 @@ def mellin_barnes_kernel(
     over the node axis, so each series still reports its own cancellation.
     The integrand decays like exp(-pi |tau| / (4H)) through the Gamma
     factors; the reported tail bound extrapolates that decay from the last
-    sampled point.  t, T and c must be finite and T > 0 (ValueError).
+    sampled point.  t, T and c must be finite and T > 1e-12 (ValueError).
     """
     beta = _check_beta(beta)
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    if not (np.isfinite(T) and T > 0.0):
-        raise ValueError(f"T must be finite and positive, got {T}")
+    if not (np.isfinite(T) and T > _PANEL_SLIVER):
+        raise ValueError(f"T must be finite and above {_PANEL_SLIVER}, got {T}")
     if c is not None and not np.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")
     if t == 0.0 and beta == 1:
@@ -247,7 +248,7 @@ def mellin_barnes_kernel(
     np.add.at(weight, modes.reshape(-1), row.reshape(-1))
     c0 = _damping_constant(spec, params)
 
-    lo = np.arange(-T, T - 1e-12, _PANEL_WIDTH)  # panel starts; the last panel ends at T
+    lo = np.arange(-T, T - _PANEL_SLIVER, _PANEL_WIDTH)  # panel starts; the last panel ends at T
     half = 0.5 * (np.minimum(lo + _PANEL_WIDTH, T) - lo)[:, None]
     nodes, weights = np.polynomial.legendre.leggauss(12)
     omega = c + 1j * (lo[:, None] + half * (nodes + 1.0))

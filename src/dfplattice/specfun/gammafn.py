@@ -22,27 +22,24 @@ def _is_nonpositive_integer(s):
     return (s.imag == 0.0) & (s.real <= 0.0) & (s.real == np.floor(s.real))
 
 
+def _as_result(out):
+    """A complex for 0-d input, the array otherwise."""
+    return complex(out) if out.ndim == 0 else out
+
+
 def gamma(s):
     """Gamma(s) for a complex s or an array of them; poles at nonpositive integers raise."""
-    if np.ndim(s) == 0:
-        s = complex(s)
-        if _is_nonpositive_integer(s):
-            raise DomainError(f"gamma pole at s = {s}")
-        return complex(_sp.gamma(s))
     s = np.asarray(s, dtype=complex)
     pole = _is_nonpositive_integer(s)
     if pole.any():
         raise DomainError(f"gamma pole at s = {complex(s[pole][0])}")
-    return _sp.gamma(s)
+    return _as_result(_sp.gamma(s))
 
 
 def recip_gamma(s):
     """1/Gamma(s) for a complex s or an array of them, entire; exact zeros at the poles of Gamma."""
-    if np.ndim(s) == 0:
-        s = complex(s)
-        return 0.0 + 0.0j if _is_nonpositive_integer(s) else complex(_sp.rgamma(s))
     s = np.asarray(s, dtype=complex)
-    return np.where(_is_nonpositive_integer(s), 0.0, _sp.rgamma(s))
+    return _as_result(np.where(_is_nonpositive_integer(s), 0.0, _sp.rgamma(s)))
 
 
 def log_gamma(s) -> np.ndarray:

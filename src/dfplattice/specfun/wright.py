@@ -21,7 +21,8 @@ the m = 0 terms from Gamma and 1/Gamma directly, and generates the terms
 m >= 1 in blocks of ``_BLOCK`` for the elements of a slab at once.  Slabs
 hold at most ``_SLAB`` elements, which bounds the block arrays whatever the
 size of the call; each block's coefficients are built once per parameter
-set in the slab, as a (terms x sets) array, and gathered per element.
+set that an unfinished element of the slab still uses, as a (terms x sets)
+array, and gathered per element.
 
 * Coefficient rule.  When every row (v, w) has real v > 0 and a
   positive-integer weight w, and every lam is real, term m is term m - 1
@@ -223,16 +224,27 @@ def _cached_coefficients(params: FoxWrightParams, start: int, stop: int, exact: 
     return m, coef
 
 
-def _block_coefficients(params: FoxWrightParams, sets, col, start: int, stop: int, exact: bool):
-    """``_coefficients`` with one column per element: element j has set ``sets[col[j]]``.
+def _block_coefficients(params: FoxWrightParams, rows, col, start: int, stop: int, exact: bool):
+    """``_coefficients`` with one column per element: element j has set ``col[j]`` of ``rows``.
 
-    Scalar rows (``sets`` None) return their one cached column instead.
+    ``rows`` holds the (upper, lower) rows of the slab's parameter sets as
+    1-d arrays; scalar rows (``rows`` None) return their one cached column.
     """
-    if sets is None:
+    if rows is None:
         return _cached_coefficients(params, start, stop, exact)
-    on = lambda rows: tuple((np.broadcast_to(v, params.shape).reshape(-1)[sets], w) for v, w in rows)
-    m, coef = _coefficients(on(params.upper), on(params.lower), start, stop, exact)
+    m, coef = _coefficients(*rows, start, stop, exact)
     return m, coef.take(col, axis=1)  # C order, so blocks sum as scalar-row blocks do
+
+
+def _narrow(rows, col):
+    """The rows of the parameter sets that ``col`` uses, and ``col`` renumbered among them.
+
+    Scalar rows (``rows`` None) pass through unchanged.
+    """
+    if rows is None:
+        return None, col
+    sets, col = np.unique(col, return_inverse=True)
+    return tuple(tuple((v[sets], w) for v, w in part) for part in rows), col
 
 
 def _sum_series(params: FoxWrightParams, lam: np.ndarray, pid: np.ndarray, max_terms: int):
@@ -249,27 +261,33 @@ def _sum_series(params: FoxWrightParams, lam: np.ndarray, pid: np.ndarray, max_t
         w == int(w) and w > 0 and np.all(np.imag(v) == 0.0) and np.all(np.real(v) > 0.0)
         for v, w in params.upper + params.lower
     )
+    # the rows over the flattened parameter axis, or None for scalar rows
+    flat = None
+    if params.shape:
+        flat = tuple(
+            tuple((np.broadcast_to(v, params.shape).reshape(-1), w) for v, w in part)
+            for part in (params.upper, params.lower)
+        )
     value = np.empty(lam.shape, dtype=complex)
     converged = np.ones(lam.shape, dtype=bool)
     cancellation = np.empty(lam.shape)
     terms_used = 1
     for lo in range(0, lam.size, _SLAB):
         part = slice(lo, lo + _SLAB)
-        # the parameter sets of this slab, and each element's column among them
-        sets, col = np.unique(pid[part], return_inverse=True) if params.shape else (None, pid[part])
         terms = _sum_slab(
-            params, sets, lam[part], t0[pid[part]], col, exact, max_terms,
+            params, flat, lam[part], t0[pid[part]], pid[part], exact, max_terms,
             value[part], converged[part], cancellation[part],
         )
         terms_used = max(terms_used, terms)
     return value, converged, cancellation, terms_used
 
 
-def _sum_slab(params, sets, lam, t0, col, exact, max_terms, value, converged, cancellation):
+def _sum_slab(params, flat, lam, t0, pid, exact, max_terms, value, converged, cancellation):
     """Sum one slab into ``value``, ``converged`` and ``cancellation``; returns the terms taken.
 
-    ``t0`` is each element's m = 0 term, ``col`` the index of its parameter
-    set in ``sets`` (see ``_block_coefficients``).
+    ``t0`` is each element's m = 0 term and ``pid`` its index on the
+    flattened parameter axis, whose rows are ``flat`` (None for scalar rows).
+    Block coefficients are built for the sets of unfinished elements only.
     """
     # per element: partial sum in units of 2^exps, largest |term| in the same units
     sums = t0.copy()
@@ -277,20 +295,21 @@ def _sum_slab(params, sets, lam, t0, col, exact, max_terms, value, converged, ca
     peaks = np.abs(t0)
     # the same for the unfinished elements, with lam, the last term and the largest block-end |sum|
     live = np.flatnonzero(lam)
-    x, acc, e, big, col = lam[live], sums[live], exps[live], peaks[live], col[live]
+    x, acc, e, big = lam[live], sums[live], exps[live], peaks[live]
+    rows, col = _narrow(flat, pid[live])  # each live element's column among the live sets
     last, top = acc.real, big
     m0 = 1
     with np.errstate(all="ignore"):
         while live.size and m0 < max_terms:
             stop = min(m0 + _BLOCK, max_terms)
             if exact:
-                m, ratio = _block_coefficients(params, sets, col, m0, stop, True)
+                m, ratio = _block_coefficients(params, rows, col, m0, stop, True)
                 terms = last * (ratio * x.real).cumprod(axis=0)
                 tmag = np.abs(terms).max(axis=0)
                 exact = bool(np.isfinite(tmag.astype(float)).all())
                 up = np.maximum(np.frexp(tmag)[1], 0)
             if not exact:
-                m, logc = _block_coefficients(params, sets, col, m0, stop, False)
+                m, logc = _block_coefficients(params, rows, col, m0, stop, False)
                 logt = logc + m * np.log(x)
                 up = np.maximum(np.ceil(logt.real.max(axis=0) / _LN2) - e, 0).astype(int)
                 terms = np.exp(logt - (e + up) * _LN2)
@@ -314,6 +333,7 @@ def _sum_slab(params, sets, lam, t0, col, exact, max_terms, value, converged, ca
                 keep = ~done
                 state = (live, x, acc, e, big, last, top, col)
                 live, x, acc, e, big, last, top, col = (v[keep] for v in state)
+                rows, col = _narrow(rows, col)
         converged[live] = False  # left only when max_terms <= 1
         cancellation[:] = peaks / np.abs(sums)
         value.real, value.imag = np.ldexp(sums.real, exps), np.ldexp(sums.imag, exps)
@@ -329,10 +349,8 @@ def fox_wright_eval(
     Array rows broadcast against lam; the result has the broadcast shape.
     """
     lam = np.asarray(lam, dtype=complex)
-    if params.shape:  # each element's index on the flattened parameter axis
-        lam, pid = np.broadcast_arrays(lam, np.arange(math.prod(params.shape)).reshape(params.shape))
-    else:
-        pid = np.zeros(lam.shape, dtype=int)
+    # each element's index on the flattened parameter axis (0 for scalar rows)
+    lam, pid = np.broadcast_arrays(lam, np.arange(math.prod(params.shape)).reshape(params.shape))
     shape = lam.shape
     value, converged, cancellation, terms = _sum_series(params, lam.reshape(-1), pid.reshape(-1), max_terms)
     if not shape:

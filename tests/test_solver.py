@@ -327,7 +327,7 @@ _NAN, _INF = float("nan"), float("inf")
 
 @pytest.mark.parametrize(
     "name, value",
-    [("t", _NAN), ("t", _INF), ("T", 0.0), ("T", -5.0), ("T", _NAN), ("T", _INF), ("c", _NAN), ("c", _INF)],
+    [("t", _NAN), ("t", _INF), ("T", 0.0), ("T", 1e-13), ("T", -5.0), ("T", _NAN), ("T", _INF), ("c", _NAN), ("c", _INF)],
     ids=lambda v: str(v),
 )
 def test_mellin_barnes_rejects_bad_arguments(name, value):
