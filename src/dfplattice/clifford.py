@@ -13,11 +13,23 @@ Two representations live here:
 * flat ``(4^n, ...)`` complex arrays -- the blade-major layout used by
   lattice fields; the array-level products below drive every field
   operation and are what the solvers spend their time in.
+
+The array product does not visit blade pairs.  Complexified Cl(n,n) is
+isomorphic to the 2^n x 2^n complex matrices (Lounesto, *Clifford Algebras
+and Spinors*, ch. 16): with Jordan-Wigner gammas, e_j = i*gamma_j for j <= n
+and e_{n+j} = gamma_{n+j}, each blade is one matrix, blade conjugation is
+the conjugate transpose, and the blade coefficient m of a matrix P is
+tr(E_m^dagger P) / 2^n.  A field product is then one 2^n x 2^n matmul per
+site between two basis changes; the matrices stay private to this module and
+fields stay blade-major.  The pairing sum_x a(x)^dagger b(x) needs no
+per-site product at all: it is the blade Gram matrix over sites, scattered
+through the Cayley table.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
+from functools import lru_cache, reduce
 from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
@@ -32,12 +44,15 @@ __all__ = [
     "generator_mask",
     "geometric_product_arrays",
     "generator_tables",
+    "live_blades",
     "metric_sign",
     "num_blades",
     "product_table",
+    "sesquilinear_arrays",
 ]
 
 CONSISTENCY_TOL = 1e-12
+_BLOCK = 2048        # sites multiplied together, which bounds the block matrices
 
 
 class AlgebraError(ArithmeticError):
@@ -127,28 +142,101 @@ def generator_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return masks, signs
 
 
+@lru_cache(maxsize=None)
+def blade_matrices(n: int) -> np.ndarray:
+    """Each blade as a 2^n x 2^n complex matrix, shape (4^n, 2^n, 2^n).
+
+    Jordan-Wigner gammas (Z...Z X I...I and Z...Z Y I...I) are 2n Hermitian,
+    pairwise anticommuting matrices squaring to 1.  Generator j <= n is
+    i*gamma_j (anti-Hermitian, squares to -1), generator n+j is gamma_{n+j}
+    (Hermitian, squares to +1), and blade m is the product of its generators
+    in ascending order.  So E_m^dagger = dagger_sign(m) * E_m and
+    tr(E_m^dagger E_k) = 2^n delta_mk.
+    """
+    pauli_x = np.array([[0, 1], [1, 0]], dtype=complex)
+    pauli_y = np.array([[0, -1j], [1j, 0]])
+    pauli_z = np.diag([1.0 + 0j, -1.0])
+    gammas = [
+        reduce(np.kron, [pauli_z] * k + [p] + [np.eye(2)] * (n - k - 1))
+        for k in range(n)
+        for p in (pauli_x, pauli_y)
+    ]
+    gens = [1j * gm if g < n else gm for g, gm in enumerate(gammas)]
+    out = np.array([
+        reduce(np.matmul, [gens[g] for g in range(2 * n) if m >> g & 1], np.eye(1 << n, dtype=complex))
+        for m in range(num_blades(n))
+    ])
+    out.setflags(write=False)
+    return out
+
+
+def _require_blade_axis(a: np.ndarray, n: int) -> None:
+    if a.ndim < 1 or a.shape[0] != num_blades(n):
+        raise ValueError(f"leading axis of shape {a.shape} is not the {num_blades(n)} blades of n = {n}")
+
+
+def live_blades(values: np.ndarray) -> np.ndarray:
+    """Indices of the blades (leading axis) that are nonzero somewhere."""
+    return np.flatnonzero(values.reshape(values.shape[0], -1).any(axis=1))
+
+
+def _sites(a: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """``a`` broadcast to spatial ``shape`` and flattened to (blades, sites)."""
+    if a.shape[1:] != shape:  # spatial axes broadcast right-aligned, as numpy aligns them
+        pad = (1,) * (len(shape) + 1 - a.ndim)
+        a = np.broadcast_to(a.reshape(a.shape[:1] + pad + a.shape[1:]), a.shape[:1] + shape)
+    return a.reshape(a.shape[0], -1)
+
+
 def geometric_product_arrays(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Geometric product of blade-major coefficient arrays.
 
-    ``a`` and ``b`` have shape (4^n,) + spatial; the product is bilinear over
-    blades with the Cayley sign table, broadcast over the spatial axes.  Only
-    blades actually present (nonzero somewhere) on each side are visited.
+    ``a`` and ``b`` have shape (4^n,) + spatial, the spatial shapes
+    broadcasting together.  Each site's operands become 2^n x 2^n matrices
+    through :func:`blade_matrices` (live blades only), are multiplied, and
+    are read back as tr(E_m^dagger P) / 2^n, in blocks of at most ``_BLOCK``
+    sites.  Blades that no live pair i ^ j reaches are exactly zero.
     """
-    masks, signs = product_table(n)
-    nb = num_blades(n)
+    _require_blade_axis(a, n)
+    _require_blade_axis(b, n)
+    nb, dim = num_blades(n), 1 << n
     shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-    out = np.zeros((nb,) + shape, dtype=complex)
-    a_live = [i for i in range(nb) if np.any(a[i])]
-    b_live = [j for j in range(nb) if np.any(b[j])]
-    for i in a_live:
-        ai = a[i]
-        for j in b_live:
-            out[masks[i, j]] += signs[i, j] * (ai * b[j])
+    out = np.zeros((nb, math.prod(shape)), dtype=complex)
+    a_live, b_live = live_blades(a), live_blades(b)
+    if a_live.size and b_live.size:
+        basis = blade_matrices(n).reshape(nb, dim * dim)
+        reach = np.unique(a_live[:, None] ^ b_live[None, :])
+        to_a, to_b = basis[a_live], basis[b_live]
+        back = basis[reach].conj().T / dim
+        a2, b2 = _sites(a, shape), _sites(b, shape)
+        for lo in range(0, out.shape[1], _BLOCK):
+            part = slice(lo, lo + _BLOCK)
+            ma = (a2[a_live, part].T @ to_a).reshape(-1, dim, dim)
+            mb = (b2[b_live, part].T @ to_b).reshape(-1, dim, dim)
+            out[reach, part] = ((ma @ mb).reshape(-1, dim * dim) @ back).T
+    return out.reshape((nb,) + shape)
+
+
+def sesquilinear_arrays(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Blade vector of sum_x a(x)^dagger b(x) over all spatial points.
+
+    No per-site product: the Gram matrix G[i, j] = sum_x conj(a_i(x)) b_j(x)
+    is one GEMM over sites, and pair (i, j) adds dagger_sign(i) *
+    sign(i, j) * G[i, j] to blade i ^ j of the product table.
+    """
+    _require_blade_axis(a, n)
+    _require_blade_axis(b, n)
+    nb = num_blades(n)
+    gram = np.conj(a.reshape(nb, -1)) @ b.reshape(nb, -1).T
+    masks, signs = product_table(n)
+    out = np.zeros(nb, dtype=complex)
+    np.add.at(out, masks, dagger_signs(n)[:, None] * signs * gram)
     return out
 
 
 def dagger_arrays(a: np.ndarray, n: int) -> np.ndarray:
     """Blade conjugation of a blade-major coefficient array."""
+    _require_blade_axis(a, n)
     sgn = dagger_signs(n).reshape((num_blades(n),) + (1,) * (a.ndim - 1))
     return sgn * np.conj(a)
 

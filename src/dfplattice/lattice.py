@@ -17,7 +17,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .clifford import Multivector, dagger_arrays, geometric_product_arrays, num_blades
+from .clifford import Multivector, num_blades, sesquilinear_arrays
 
 __all__ = ["GridSpec", "Field", "delta_h", "sesquilinear", "mass", "normalization_check"]
 
@@ -182,8 +182,7 @@ def sesquilinear(f: Field, g: Field) -> Multivector:
     """Clifford-valued pairing sum_x h^n f(x)^dagger g(x)."""
     f._require_same_spec(g)
     n = f.spec.n
-    prod = geometric_product_arrays(dagger_arrays(f.values, n), g.values, n)
-    vec = prod.reshape(f.spec.nblades, -1).sum(axis=1) * f.spec.cell_volume
+    vec = sesquilinear_arrays(f.values, g.values, n) * f.spec.cell_volume
     return Multivector.from_array(vec, n)
 
 

@@ -21,7 +21,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .clifford import Multivector, generator_tables, num_blades
+from .clifford import Multivector, generator_tables, live_blades, num_blades
 from .lattice import Field, GridSpec
 from .spectral import MomentumField, dft_forward, dft_inverse
 
@@ -123,7 +123,7 @@ def apply_dirac_symbol_arrays(values: np.ndarray, spec: GridSpec) -> np.ndarray:
     n = spec.n
     gmask, gsign = generator_tables(n)
     out = np.zeros_like(values)
-    live = [m for m in range(spec.nblades) if np.any(values[m])]
+    live = live_blades(values)
     for j in range(n):
         coef_sin = -1j * tab.vec_sin[j]
         coef_cos = tab.vec_cos[j]

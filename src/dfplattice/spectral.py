@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clifford import Multivector, dagger_arrays, geometric_product_arrays
+from .clifford import Multivector, geometric_product_arrays, sesquilinear_arrays
 from .lattice import Field, GridSpec
 
 __all__ = [
@@ -104,8 +104,7 @@ def momentum_sesquilinear(F: MomentumField, G: MomentumField) -> Multivector:
     """Zone pairing sum_k w F(xi_k)^dagger G(xi_k) (weight w per node)."""
     F._require_same_spec(G)
     n = F.spec.n
-    prod = geometric_product_arrays(dagger_arrays(F.values, n), G.values, n)
-    vec = prod.reshape(F.spec.nblades, -1).sum(axis=1) * F.spec.momentum_weight
+    vec = sesquilinear_arrays(F.values, G.values, n) * F.spec.momentum_weight
     return Multivector.from_array(vec, n)
 
 

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+from dfplattice import clifford
 from dfplattice.clifford import (
     AlgebraError,
     Multivector,
+    blade_matrices,
     blade_product,
     dagger_arrays,
+    dagger_sign,
     geometric_product_arrays,
+    live_blades,
     num_blades,
 )
 
-from oracles import blade_product_sorting, mv_product_oracle
+from oracles import blade_product_sorting, dense_product, mv_product_oracle
 
 
 def e(j, dim):
@@ -172,6 +176,143 @@ def test_dagger_arrays_matches_pointwise():
     for k in range(2):
         expect = Multivector.from_array(a[:, k], dim).dagger()
         assert (Multivector.from_array(out[:, k], dim) - expect).sup_norm() == 0.0
+
+
+def rand_blades(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def assert_matches_dense_oracle(a, b, dim, tol=1e-12):
+    out = geometric_product_arrays(a, b, dim)
+    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    assert out.shape == (num_blades(dim),) + shape
+    # spatial shapes broadcast among themselves, right-aligned after the blade axis
+    a_full, b_full = (
+        np.broadcast_to(x.reshape(x.shape[:1] + (1,) * (len(shape) + 1 - x.ndim) + x.shape[1:]), out.shape)
+        for x in (a, b)
+    )
+    for idx in np.ndindex(*shape):
+        site = (slice(None),) + idx
+        expect = dense_product(a_full[site], b_full[site], dim)
+        assert np.max(np.abs(out[site] - expect)) <= tol * max(1.0, np.max(np.abs(expect)))
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_blade_matrices_multiply_like_the_sorting_oracle(dim):
+    mats = blade_matrices(dim)
+    nb, size = num_blades(dim), 1 << dim
+    assert mats.shape == (nb, size, size)
+    for i in range(nb):
+        for j in range(nb):
+            mask, sign = blade_product_sorting(i, j, dim)
+            assert np.array_equal(mats[i] @ mats[j], sign * mats[mask])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_blade_matrices_dagger_and_trace_orthogonality(dim):
+    mats = blade_matrices(dim)
+    nb = num_blades(dim)
+    for m in range(nb):
+        assert np.array_equal(mats[m].conj().T, dagger_sign(m, dim) * mats[m])
+    # tr(E_m^dagger E_k) for every pair
+    gram = np.einsum("mab,kab->mk", mats.conj(), mats)
+    assert np.array_equal(gram, (1 << dim) * np.eye(nb))
+
+
+def kernel_blades(dim):
+    """The live set of a lattice kernel: the scalar and the 2n generators."""
+    return [0] + [1 << g for g in range(2 * dim)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_product_all_blades_live_matches_dense_oracle(dim):
+    rng = np.random.default_rng(20 + dim)
+    nb = num_blades(dim)
+    assert_matches_dense_oracle(rand_blades(rng, (nb, 3)), rand_blades(rng, (nb, 3)), dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_product_kernel_live_set_matches_dense_oracle(dim):
+    rng = np.random.default_rng(30 + dim)
+    nb = num_blades(dim)
+    kernel = np.zeros((nb, 3), dtype=complex)
+    kernel[kernel_blades(dim)] = rand_blades(rng, (2 * dim + 1, 3))
+    full = rand_blades(rng, (nb, 3))
+    assert_matches_dense_oracle(kernel, full, dim)
+    assert_matches_dense_oracle(full, kernel, dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_product_with_zero_operand_is_exactly_zero(dim):
+    rng = np.random.default_rng(40 + dim)
+    nb = num_blades(dim)
+    full, zero = rand_blades(rng, (nb, 2, 2)), np.zeros((nb, 2, 2), dtype=complex)
+    for a, b in ((full, zero), (zero, full), (zero, zero)):
+        out = geometric_product_arrays(a, b, dim)
+        assert out.shape == (nb, 2, 2) and not np.any(out)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_product_broadcasts_spatial_shapes(dim):
+    rng = np.random.default_rng(50 + dim)
+    nb = num_blades(dim)
+    assert_matches_dense_oracle(rand_blades(rng, (nb, 3, 1)), rand_blades(rng, (nb, 1, 2)), dim)
+    assert_matches_dense_oracle(rand_blades(rng, (nb,)), rand_blades(rng, (nb, 4)), dim)
+    assert_matches_dense_oracle(rand_blades(rng, (nb, 2)), rand_blades(rng, (nb,)), dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_product_unreachable_blades_are_exactly_zero(dim):
+    rng = np.random.default_rng(60 + dim)
+    nb = num_blades(dim)
+    kernel = np.zeros((nb, 4), dtype=complex)
+    kernel[kernel_blades(dim)] = rand_blades(rng, (2 * dim + 1, 4))
+    pair = np.zeros((nb, 4), dtype=complex)
+    pair[0b11] = rand_blades(rng, 4)
+    out = assert_matches_dense_oracle(kernel, pair, dim)
+    reach = {m ^ 0b11 for m in kernel_blades(dim)}
+    for m in range(nb):
+        if m not in reach:
+            assert np.all(out[m] == 0.0)
+
+
+def test_product_site_blocks_match_one_block(monkeypatch):
+    rng = np.random.default_rng(70)
+    nb = num_blades(2)
+    a, b = rand_blades(rng, (nb, 5, 3)), rand_blades(rng, (nb, 5, 3))
+    whole = geometric_product_arrays(a, b, 2)
+    monkeypatch.setattr(clifford, "_BLOCK", 4)  # 15 sites: three full blocks and a partial one
+    assert np.max(np.abs(geometric_product_arrays(a, b, 2) - whole)) < 1e-13
+    assert_matches_dense_oracle(a, b, 2)
+
+
+def test_blade_axis_must_hold_every_blade():
+    rng = np.random.default_rng(80)
+    good = rand_blades(rng, (64, 3))
+    long = rand_blades(rng, (80, 3))  # rows 64..79 must not be dropped silently
+    with pytest.raises(ValueError, match="64 blades"):
+        geometric_product_arrays(long, good, 3)
+    with pytest.raises(ValueError, match="64 blades"):
+        geometric_product_arrays(good, long, 3)
+    with pytest.raises(ValueError, match="64 blades"):
+        dagger_arrays(rand_blades(rng, (1, 3)), 3)  # must not broadcast to (64, 3)
+    with pytest.raises(ValueError, match="64 blades"):
+        clifford.sesquilinear_arrays(good, long, 3)
+
+
+def test_live_blades_lists_the_nonzero_blades():
+    rng = np.random.default_rng(90)
+    values = rand_blades(rng, (16, 3, 2))
+    values[[1, 5, 6, 15]] = 0.0
+    values[7, 2, 1] = 0.0  # one zero site keeps the blade live
+    values[9] = 0.0
+    values[9, 1, 0] = np.nan
+    expect = [m for m in range(16) if np.any(values[m])]
+    assert live_blades(values).tolist() == expect
+    assert live_blades(np.zeros((4, 2))).tolist() == []
+    corner = values[:, 0, 0]
+    assert live_blades(corner).tolist() == [m for m in range(16) if corner[m] != 0]
 
 
 def test_norm_consistency_error():

@@ -5,6 +5,7 @@ import pytest
 
 from dfplattice.clifford import Multivector
 from dfplattice.lattice import Field, GridSpec, delta_h, mass, normalization_check, sesquilinear
+from dfplattice.spectral import MomentumField, momentum_sesquilinear
 
 from oracles import mv_product_oracle
 
@@ -97,6 +98,31 @@ def test_sesquilinear_right_linearity():
     lhs = sesquilinear(f, Field(spec, lam * g.values + g2.values))
     rhs = sesquilinear(f, g) * lam + sesquilinear(f, g2)
     assert (lhs - rhs).sup_norm() < 1e-12
+
+
+@pytest.fixture(scope="module")
+def dense_pair_3d():
+    """3D N=4 fields with all 64 blades live, and sum_x f(x)^dagger g(x) by the oracle."""
+    rng = np.random.default_rng(12)
+    spec = GridSpec(3, 0.5, Fraction(1, 4), 4)
+    f, g = random_field(spec, rng), random_field(spec, rng)
+    total = Multivector.zero(spec.n)
+    for site in np.ndindex(*spec.site_shape):
+        total = total + mv_product_oracle(f.mv(site).dagger(), g.mv(site))
+    return spec, f, g, total
+
+
+def test_sesquilinear_all_blades_live_matches_oracle(dense_pair_3d):
+    spec, f, g, total = dense_pair_3d
+    expect = spec.cell_volume * total
+    assert (sesquilinear(f, g) - expect).sup_norm() <= 1e-12 * expect.sup_norm()
+
+
+def test_momentum_sesquilinear_all_blades_live_matches_oracle(dense_pair_3d):
+    spec, f, g, total = dense_pair_3d
+    F, G = MomentumField(spec, f.values), MomentumField(spec, g.values)
+    expect = spec.momentum_weight * total
+    assert (momentum_sesquilinear(F, G) - expect).sup_norm() <= 1e-12 * expect.sup_norm()
 
 
 def test_normalization_scaling():
