@@ -301,7 +301,7 @@ def _cmd_mellin_barnes(args) -> int:
 def _cmd_dump_multiplier(args) -> int:
     import numpy as np
 
-    from .fieldio import format_rows
+    from .fieldio import _write_rows
     from .operators import dirac_multiplier, symbol_tables
 
     cfg = _merge_config(args)
@@ -316,8 +316,9 @@ def _cmd_dump_multiplier(args) -> int:
             cols += [z[1 << j].real, z[1 << j].imag, z[1 << (spec.n + j)].real, z[1 << (spec.n + j)].imag]
     # every node, in ascending signed mode number, read from the FFT-ordered tables
     order = np.ix_(*[spec.ascending_modes()] * spec.n)
-    text = format_rows(header, zip(*(c[order].ravel().tolist() for c in cols)))
-    _write_output(cfg, text, _manifest(cfg, spec, {"command": "dump-multiplier", "kind": kind}))
+    cols = [c[order].ravel() for c in cols]
+    with _output(cfg, _manifest(cfg, spec, {"command": "dump-multiplier", "kind": kind})) as fh:
+        _write_rows(fh, header, spec.nsites, lambda lo, hi: [map(repr, c[lo:hi].tolist()) for c in cols])
     return EXIT_OK
 
 

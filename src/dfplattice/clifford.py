@@ -177,7 +177,7 @@ def _require_blade_axis(a: np.ndarray, n: int) -> None:
 
 def live_blades(values: np.ndarray) -> np.ndarray:
     """Indices of the blades (leading axis) that are nonzero somewhere."""
-    return np.flatnonzero(values.reshape(values.shape[0], -1).any(axis=1))
+    return values.reshape(values.shape[0], -1).any(axis=1).nonzero()[0]
 
 
 def _sites(a: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:

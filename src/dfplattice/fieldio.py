@@ -2,13 +2,16 @@
 
 Row schema (both kinds): k1,..,kn,mask,re,im -- one row per (site, blade)
 with a nonzero coefficient, in lexicographic order, which the layout gives
-directly (blade axis last, momentum axes in ascending signed k).  Site fields
-index sites 0..N-1; momentum fields use the signed mode numbers -N/2+1..N/2.
-Floats are written as shortest round-trip reprs, so identical data produces
-identical bytes and a write/read cycle is exact.  CSV and JSON rows share one
-reader, which rejects mis-sized and repeated rows, site indices outside
-[0, N), mode numbers outside (-N/2, N/2] and blade masks outside [0, 4^n)
-with a ValueError that names the CSV line or JSON row.
+directly (sites in C order, blades ascending within a site, momentum axes in
+ascending signed k).  Site fields index sites 0..N-1; momentum fields use the
+signed mode numbers -N/2+1..N/2.  Floats are written as shortest round-trip
+reprs, so identical data produces identical bytes and a write/read cycle is
+exact.  The CSV writer streams: it formats ``_ROWS`` rows at a time, column
+by column, and writes each block straight to the handle, so it holds one
+block of text and one index per row, never the whole file.  CSV and JSON
+rows share one reader, which rejects mis-sized and repeated rows, site
+indices outside [0, N), mode numbers outside (-N/2, N/2] and blade masks
+outside [0, 4^n) with a ValueError that names the CSV line or JSON row.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ from __future__ import annotations
 import csv
 import json
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from .clifford import live_blades
 from .lattice import Field, GridSpec
 from .spectral import MomentumField
 
@@ -48,28 +52,58 @@ def _header(n: int) -> List[str]:
     return [f"k{j + 1}" for j in range(n)] + ["mask", "re", "im"]
 
 
+_ROWS = 2048  # CSV rows formatted and written together
+
+
+def _row_columns(field: Union[Field, MomentumField], text: bool):
+    """The nonzero (k1..kn, mask, re, im) rows in lexicographic order, as
+    (row count, ``columns(lo, hi)``), which gives rows lo..hi-1 column by
+    column: as str when ``text`` (indices from a lookup made once per call,
+    floats by repr), else as int and float."""
+    spec = field.spec
+    flat = field.values.reshape(spec.nblades, -1)
+    axis, labels = np.arange(spec.N), np.arange(spec.N)
+    if isinstance(field, MomentumField):
+        axis = spec.ascending_modes()
+        labels = spec.momentum_indices()[axis]
+    # storage position of each site in row order
+    order = np.arange(spec.nsites).reshape(spec.site_shape)[np.ix_(*[axis] * spec.n)].ravel()
+    live = live_blades(flat)
+    nonzero = np.empty((spec.nsites, live.size), dtype=bool)
+    for col, m in enumerate(live):
+        nonzero[:, col] = flat[m, order] != 0
+    rows = np.flatnonzero(nonzero)  # site-major, blades ascending within a site
+    index, number = (str, repr) if text else (int, float)
+    label = np.array([index(k) for k in labels.tolist()], dtype=object)
+    blade = np.array([index(m) for m in live.tolist()], dtype=object)
+
+    def columns(lo: int, hi: int) -> list:
+        site, col = np.divmod(rows[lo:hi], live.size)
+        coef = flat[live[col], order[site]]
+        idx = np.unravel_index(site, spec.site_shape)
+        return [label[i].tolist() for i in idx] + [
+            blade[col].tolist(), map(number, coef.real.tolist()), map(number, coef.imag.tolist())
+        ]
+
+    return rows.size, columns
+
+
 def field_rows(field: Union[Field, MomentumField]) -> List[Tuple]:
     """Nonzero (indices..., mask, re, im) rows in lexicographic order."""
-    spec = field.spec
-    vals = np.moveaxis(field.values, 0, -1)  # blade axis last: nonzero() runs in row order
-    labels = np.arange(spec.N)
-    if isinstance(field, MomentumField):
-        asc = spec.ascending_modes()
-        vals, labels = vals[np.ix_(*[asc] * spec.n)], spec.momentum_indices()[asc]
-    *idx, mask = np.nonzero(vals)
-    coef = vals[(*idx, mask)]
-    cols = [labels[i].tolist() for i in idx] + [mask.tolist(), coef.real.tolist(), coef.imag.tolist()]
-    return list(zip(*cols))
+    count, columns = _row_columns(field, text=False)
+    return list(zip(*columns(0, count)))
 
 
-def format_rows(header: Sequence[str], rows: Iterable[Tuple]) -> str:
-    """CSV text of rows of ints and floats; str() of a float is its shortest round-trip repr."""
-    fmt = ",".join(["%s"] * len(header)) + "\n"
-    return fmt % tuple(header) + "".join(map(fmt.__mod__, rows))
+def _write_rows(fh, header: Sequence[str], count: int, columns: Callable[[int, int], list]) -> None:
+    """CSV of ``count`` rows, written ``_ROWS`` at a time: ``columns(lo, hi)``
+    gives rows lo..hi-1 as one iterable of str per column."""
+    fh.write(",".join(header) + "\n")
+    for lo in range(0, count, _ROWS):
+        fh.write("\n".join(map(",".join, zip(*columns(lo, min(lo + _ROWS, count))))) + "\n")
 
 
 def write_field_csv(field: Union[Field, MomentumField], fh) -> None:
-    fh.write(format_rows(_header(field.spec.n), field_rows(field)))
+    _write_rows(fh, _header(field.spec.n), *_row_columns(field, text=True))
 
 
 def _read_rows(rows, spec: GridSpec, momentum: bool, where: str):

@@ -117,20 +117,28 @@ def apply_scalar_symbol(F: MomentumField, symbol: np.ndarray) -> MomentumField:
     return MomentumField(F.spec, F.values * symbol[None, ...], _copy=False)
 
 
-def apply_dirac_symbol_arrays(values: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """Left-multiply momentum-space blade arrays by the Dirac symbol z(xi)."""
+def _apply_dirac_rows(values: np.ndarray, spec: GridSpec, blades: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """z(xi) times blade rows: row r of ``values`` and of the result holds blade
+    ``blades[r]`` (sorted).  Only the rows of the blades ``live`` are read, and
+    ``blades`` must hold their images under every generator."""
     tab = symbol_tables(spec)
     n = spec.n
     gmask, gsign = generator_tables(n)
+    row = np.empty(spec.nblades, dtype=np.intp)
+    row[blades] = np.arange(blades.size)
     out = np.zeros_like(values)
-    live = live_blades(values)
     for j in range(n):
         coef_sin = -1j * tab.vec_sin[j]
         coef_cos = tab.vec_cos[j]
         for m in live:
-            out[gmask[j, m]] += gsign[j, m] * coef_sin * values[m]
-            out[gmask[n + j, m]] += gsign[n + j, m] * coef_cos * values[m]
+            out[row[gmask[j, m]]] += gsign[j, m] * coef_sin * values[row[m]]
+            out[row[gmask[n + j, m]]] += gsign[n + j, m] * coef_cos * values[row[m]]
     return out
+
+
+def apply_dirac_symbol_arrays(values: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """Left-multiply momentum-space blade arrays by the Dirac symbol z(xi)."""
+    return _apply_dirac_rows(values, spec, np.arange(spec.nblades), live_blades(values))
 
 
 def laplacian_apply(f: Field, route: str = "stencil") -> Field:

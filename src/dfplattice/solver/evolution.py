@@ -21,11 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..clifford import AlgebraError
+from ..clifford import AlgebraError, generator_tables, live_blades
 from ..lattice import Field, GridSpec, delta_h
-from ..operators import apply_dirac_symbol_arrays, dirac_apply, laplacian_apply, symbol_tables
+from ..operators import _apply_dirac_rows, dirac_apply, laplacian_apply, symbol_tables
 from ..specfun import bessel_i_scaled, gamma
-from ..spectral import MomentumField, dft_forward, dft_inverse
+from ..spectral import MomentumField, _placed, _transform_rows, dft_forward, dft_inverse
 from .params import ModelParams
 
 __all__ = [
@@ -51,12 +51,24 @@ def trig_factors(d2: np.ndarray, mu: float, t: float):
 
 
 def _evolved_values(phi0: Field, scalar: np.ndarray, cos_part: np.ndarray, sinc_part: np.ndarray) -> Field:
-    """F^-1[ scalar * (cos + sinc * i z) * F phi0 ] shared by the solvers."""
+    """F^-1[ scalar * (cos + sinc * i z) * F phi0 ] shared by the solvers.
+
+    Only the blades the flow reaches are computed: the live blades of
+    ``phi0`` and their images under each generator, since z(xi) is a vector.
+    Every other blade of the result is exactly 0.
+    """
     spec = phi0.spec
-    F = dft_forward(phi0)
-    zF = apply_dirac_symbol_arrays(F.values, spec)
-    out = scalar[None, ...] * (cos_part[None, ...] * F.values + 1j * sinc_part[None, ...] * zF)
-    return dft_inverse(MomentumField(spec, out, _copy=False))
+    live = live_blades(phi0.values)
+    reached = np.zeros(spec.nblades, dtype=bool)
+    reached[live] = True
+    reached[generator_tables(spec.n)[0][:, live]] = True
+    blades = reached.nonzero()[0]
+    rows = phi0.values if live.size == spec.nblades else phi0.values[live]
+    F = _placed(_transform_rows(rows, spec, forward=True), live, blades)
+    zF = _apply_dirac_rows(F, spec, blades, live)
+    out = scalar[None, ...] * (cos_part[None, ...] * F + 1j * sinc_part[None, ...] * zF)
+    values = _placed(_transform_rows(out, spec, forward=False), blades, np.arange(spec.nblades))
+    return Field(spec, values, _copy=False)
 
 
 def heat_kernel(spec: GridSpec, tau: float, route: str = "multiplier") -> Field:
@@ -72,10 +84,9 @@ def heat_kernel(spec: GridSpec, tau: float, route: str = "multiplier") -> Field:
     if tau == 0.0:
         return delta_h(spec)
     if route == "multiplier":
-        tab = symbol_tables(spec)
-        Fd = dft_forward(delta_h(spec))
-        vals = np.exp(-tau * tab.d2)[None, ...] * Fd.values
-        return dft_inverse(MomentumField(spec, vals, _copy=False))
+        # the scalar blade alone: the other blades of the delta and its transform are exactly 0
+        Fd = dft_forward(delta_h(spec)).values[0]
+        return dft_inverse(MomentumField.from_blade_array(spec, 0, np.exp(-tau * symbol_tables(spec).d2) * Fd))
     if route == "bessel":
         z, N = 2.0 * tau / spec.h**2, spec.N
         offsets = np.arange(N)

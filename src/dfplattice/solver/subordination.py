@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
 
 from ..lattice import Field
 from ..operators import symbol_tables
@@ -56,6 +55,8 @@ def levy_subordination_check(
     phi0: Field, t: float, params: ModelParams, quad_tol: float = 1e-7
 ) -> Tuple[Field, Field]:
     """(lhs, rhs) fields of the sitewise subordination identity."""
+    from scipy.integrate import quad, quad_vec
+
     if t < 0.0:
         raise ValueError("t must be >= 0")
     spec = phi0.spec

@@ -1,5 +1,8 @@
 """Special-function backend: Gamma, Fox-Wright series, Mittag-Leffler,
-scaled Bessel, one-sided Levy density, Hartman-Watson, numerical Mellin."""
+scaled Bessel, one-sided Levy density, Hartman-Watson, numerical Mellin.
+
+scipy is imported inside the functions that call it, so importing the
+package (and every CLI command whose path calls none of them) does not load it."""
 
 from .gammafn import DomainError, gamma, log_gamma, recip_gamma
 from .wright import (

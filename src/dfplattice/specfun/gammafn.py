@@ -9,7 +9,6 @@ terms automatically).
 from __future__ import annotations
 
 import numpy as np
-from scipy import special as _sp
 
 __all__ = ["DomainError", "gamma", "recip_gamma", "log_gamma"]
 
@@ -33,15 +32,21 @@ def gamma(s):
     pole = _is_nonpositive_integer(s)
     if pole.any():
         raise DomainError(f"gamma pole at s = {complex(s[pole][0])}")
-    return _as_result(_sp.gamma(s))
+    from scipy.special import gamma as sp_gamma
+
+    return _as_result(sp_gamma(s))
 
 
 def recip_gamma(s):
     """1/Gamma(s) for a complex s or an array of them, entire; exact zeros at the poles of Gamma."""
+    from scipy.special import rgamma
+
     s = np.asarray(s, dtype=complex)
-    return _as_result(np.where(_is_nonpositive_integer(s), 0.0, _sp.rgamma(s)))
+    return _as_result(np.where(_is_nonpositive_integer(s), 0.0, rgamma(s)))
 
 
 def log_gamma(s) -> np.ndarray:
     """Principal-branch log Gamma, vectorized over complex arrays."""
-    return _sp.loggamma(s)
+    from scipy.special import loggamma
+
+    return loggamma(s)

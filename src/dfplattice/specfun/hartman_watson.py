@@ -22,7 +22,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.integrate import quad
 
 from .gammafn import DomainError
 
@@ -86,6 +85,8 @@ def hartman_watson_theta(r: float, p: float, warn: bool = True) -> float:
 
 def bessel_from_hartman_watson(k: int, r: float) -> float:
     """Reconstruct I_k(r) from the Laplace identity by double quadrature."""
+    from scipy.integrate import quad
+
     if r <= 0.0:
         raise DomainError("order argument r must be positive")
     k2 = 0.5 * float(k) ** 2

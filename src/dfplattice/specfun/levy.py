@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .gammafn import DomainError
 from .wright import FoxWrightParams, fox_wright_eval
@@ -128,6 +127,8 @@ def levy_laplace(nu: float, s: float | np.ndarray) -> float | np.ndarray:
     out = np.ones(s_arr.shape)
     pos = s_arr > 0.0
     if np.any(pos):
+        from scipy.integrate import quad_vec
+
         sp = s_arr[pos]
         Q = float(np.max((24.0 + sp**nu) / sp))
         val, err, info = quad_vec(

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .gammafn import DomainError
 
@@ -32,6 +31,7 @@ def _log_window_quad(
     g: Callable[[float], complex], where: str, x0: float, max_doublings: int, limit: int
 ) -> complex:
     """int_{-inf}^{inf} g(x) dx on symmetric windows [-X, X] doubled from x0."""
+    from scipy.integrate import quad
 
     def piece(a: float, b: float) -> complex:
         return quad(g, a, b, limit=limit, complex_func=True)[0]
@@ -71,6 +71,8 @@ def mellin_inverse(
     F: Callable[[complex], complex], t: float, c: float, T: float = 60.0, limit: int = 800
 ) -> complex:
     """Truncated inversion (1/2 pi) int_{-T}^{T} F(c + i tau) t^{-c-i tau} d tau."""
+    from scipy.integrate import quad
+
     if t <= 0:
         raise DomainError("inversion point t must be positive")
 
@@ -111,6 +113,8 @@ def mellin_parseval_check(
     Closed-form transforms may be passed to keep the contour side a single
     quadrature; otherwise they are computed numerically (nested, slow).
     """
+    from scipy.integrate import quad
+
     Mf = Mf or (lambda s: mellin_transform(f, s))
     Mg = Mg or (lambda s: mellin_transform(g, s))
     lhs = mellin_transform(lambda t: f(t) * g(t), omega)

@@ -57,8 +57,6 @@ from functools import lru_cache
 from typing import Tuple, Union
 
 import numpy as np
-from scipy.special import gammaln as _gammaln
-from scipy.special import ive as _ive
 
 from .gammafn import DomainError, gamma, log_gamma, recip_gamma
 
@@ -204,7 +202,9 @@ def _coefficients(upper, lower, start: int, stop: int, exact: bool):
             for i in range(int(B)):
                 coef = coef / (np.real(b) + B * (k - 1.0) + i)
     else:
-        num = -_gammaln(m + 1.0)
+        from scipy.special import gammaln
+
+        num = -gammaln(m + 1.0)
         for a, A in upper:
             num = num + log_gamma(a + A * m)
         den = 0.0
@@ -378,10 +378,12 @@ def bessel_i_scaled(k, z):
     Scalars give a float; integer arrays of orders (or arrays of z)
     broadcast to an array.
     """
+    from scipy.special import ive
+
     z = np.asarray(z, dtype=float)
     if np.any(z < 0):
         raise DomainError("bessel_i_scaled requires z >= 0")
-    out = _ive(np.abs(np.asarray(k, dtype=int)), z)  # |k|: I_{-k} = I_k exactly
+    out = ive(np.abs(np.asarray(k, dtype=int)), z)  # |k|: I_{-k} = I_k exactly
     return float(out) if out.ndim == 0 else out
 
 

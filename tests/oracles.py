@@ -2,7 +2,8 @@
 
 Each oracle re-derives a library operation through a different algorithm:
 blade products via sequence sorting instead of bitmask popcounts, transforms
-via explicit O(N^2) phase sums instead of FFTs, convolution via the literal
+via explicit O(N^2) phase sums instead of FFTs (and via one FFT of every
+blade, dead blades included, instead of the live ones), convolution via the literal
 double loop, the fractional Dirac operator via finite-difference
 stencils on a refined grid instead of its Fourier symbol, Fox-Wright
 series via literal Gamma products instead of term ratios or log-Gammas, and
@@ -89,6 +90,14 @@ def dft_forward_direct(f: Field) -> MomentumField:
             acc += f.values[(slice(None),) + sidx] * np.exp(1j * float(x @ xi))
         vals[(slice(None),) + midx] = scale * acc
     return MomentumField(spec, vals)
+
+
+def whole_array_transform(values: np.ndarray, spec: GridSpec, forward: bool) -> np.ndarray:
+    """The scaled transform as one FFT of every blade, dead blades included."""
+    if forward:
+        scale = spec.cell_volume * (2.0 * np.pi) ** (-spec.n / 2.0) * spec.nsites
+        return np.fft.ifftn(values, axes=spec.site_axes) * scale
+    return np.fft.fftn(values, axes=spec.site_axes) * ((2.0 * np.pi) ** (-spec.n / 2.0) * spec.momentum_weight)
 
 
 def convolve_direct(K: Field, f: Field) -> Field:

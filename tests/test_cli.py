@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -9,9 +10,11 @@ import numpy as np
 import pytest
 
 import dfplattice
+from dfplattice import fieldio
 from dfplattice.cli import main
 from dfplattice.fieldio import read_field_csv, write_field_csv
 from dfplattice.lattice import GridSpec, delta_h
+from dfplattice.operators import dirac_multiplier, symbol_tables
 from dfplattice.solver import ModelParams, dfp_evolve, klein_gordon_evolve
 
 
@@ -186,6 +189,40 @@ def test_dump_multiplier(capsys):
     assert float(rows[1][1]) == pytest.approx(2.0, abs=1e-14)
     assert float(rows[1][3]) == pytest.approx(-1.0, abs=1e-14)
     assert float(rows[1][4]) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["dirac", "laplacian"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dump_multiplier_rows_in_blocks(monkeypatch, capsys, dim, kind):
+    # blocks of 3 rows: 4^dim nodes span several, the last one partial
+    monkeypatch.setattr(fieldio, "_ROWS", 3)
+    spec = GridSpec(dim, 1.0, Fraction(1, 3), 4)
+    code, out, _ = run_cli(
+        ["dump-multiplier", "--dim", str(dim), "--points", "4", "--h", "1", "--alpha", "1/3", "--kind", kind],
+        capsys,
+    )
+    assert code == 0
+    d2, z = symbol_tables(spec).d2, dirac_multiplier(spec).values
+    header = [f"k{j + 1}" for j in range(dim)] + ["d2"]
+    if kind == "dirac":
+        header += [f"z{g + 1}_{part}" for j in range(dim) for g in (j, dim + j) for part in ("re", "im")]
+    lines = [",".join(header)]
+    for mode in itertools.product(range(-1, 3), repeat=dim):  # signed mode numbers, ascending
+        node = tuple(spec.mode_index(k) for k in mode)
+        row = [*mode, float(d2[node])]
+        if kind == "dirac":
+            for j in range(dim):
+                for mask in (1 << j, 1 << (dim + j)):
+                    row += [float(z[(mask,) + node].real), float(z[(mask,) + node].imag)]
+        lines.append(",".join(map(repr, row)))
+    assert out == "\n".join(lines) + "\n"
+
+
+def test_import_loads_no_scipy():
+    probe = "import sys, dfplattice.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_verify_suite_operators(capsys):

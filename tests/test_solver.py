@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfplattice.lattice import Field, GridSpec, delta_h, mass, normalization_check
-from dfplattice.operators import dirac_apply, symbol_tables
+from dfplattice.operators import apply_dirac_symbol_arrays, dirac_apply, symbol_tables
 from dfplattice.specfun import DomainError, bessel_i_scaled, fox_wright
 from dfplattice.spectral import convolve
 from dfplattice.solver import (
@@ -21,8 +23,12 @@ from dfplattice.solver import (
     levy_subordination_check,
     levy_subordination_modewise,
     mellin_barnes_kernel,
+    trig_factors,
     wilson_diffusion_coefficient,
 )
+
+from oracles import whole_array_transform
+from test_spectral import live_blade_values
 
 SPEC32 = GridSpec(1, 1.0, Fraction(1, 4), 32)
 SPEC16 = GridSpec(1, 1.0, Fraction(1, 4), 16)
@@ -32,6 +38,38 @@ PARAMS = ModelParams(mu=1.0, sigma2=1.0, hurst=0.75)
 def random_field(spec, rng):
     shape = (spec.nblades,) + spec.site_shape
     return Field(spec, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+# ----------------------------------------------------- live-blade solvers
+
+def evolved_all_blades(phi0, scalar, cos_part, sinc_part):
+    """F^-1[scalar (cos + sinc i z) F phi0] on every blade, with whole-array transforms."""
+    spec = phi0.spec
+    F = whole_array_transform(phi0.values, spec, forward=True)
+    zF = apply_dirac_symbol_arrays(F, spec)
+    out = scalar[None, ...] * (cos_part[None, ...] * F + 1j * sinc_part[None, ...] * zF)
+    return whole_array_transform(out, spec, forward=False)
+
+
+@settings(max_examples=40)
+@given(live_blade_values(), st.sampled_from([0.05, 0.8, 3.0]))
+def test_live_blade_solvers_match_all_blade_computation(case, t):
+    spec, _, values = case
+    params = ModelParams(mu=1.1, sigma2=0.7, hurst=0.65, p=0.3)
+    d2 = symbol_tables(spec).d2
+    cos_part, sinc_part = trig_factors(d2, params.mu, t)
+    gaussian = np.exp(-0.5 * params.sigma2 * t ** (2.0 * params.hurst) * d2)
+    damping = np.exp(-params.p * t * t) * np.ones_like(d2)
+    phi0, delta = Field(spec, values), delta_h(spec)
+    # bytes: the same bits, and dead blades exactly +0 as the whole-array route leaves them
+    flow = evolved_all_blades(phi0, gaussian, cos_part, sinc_part)
+    assert dfp_evolve(phi0, t, params).values.tobytes() == flow.tobytes()
+    kg = evolved_all_blades(phi0, damping, cos_part, sinc_part)
+    assert klein_gordon_evolve(phi0, t, params.p, params).values.tobytes() == kg.tobytes()
+    kernel = evolved_all_blades(delta, gaussian, cos_part, sinc_part)
+    assert dfp_kernel(spec, t, params).values.tobytes() == kernel.tobytes()
+    heat = np.exp(-t * d2)[None, ...] * whole_array_transform(delta.values, spec, forward=True)
+    assert heat_kernel(spec, t).values.tobytes() == whole_array_transform(heat, spec, forward=False).tobytes()
 
 
 # ------------------------------------------------------------- heat kernel

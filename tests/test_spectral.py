@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfplattice.clifford import geometric_product_arrays
 from dfplattice.lattice import Field, GridSpec, delta_h, sesquilinear
@@ -15,7 +17,7 @@ from dfplattice.spectral import (
     restrict_field,
 )
 
-from oracles import convolve_direct, dft_forward_direct
+from oracles import convolve_direct, dft_forward_direct, whole_array_transform
 
 
 def random_field(spec, rng):
@@ -162,3 +164,39 @@ def test_spec_mismatch_raises():
     b = delta_h(GridSpec(1, 1.0, Fraction(1, 4), 8))
     with pytest.raises(ValueError):
         convolve(a, b)
+
+
+# ------------------------------------------------- live-blade transforms
+
+@st.composite
+def live_blade_values(draw):
+    """(spec, live blades, values): random coefficients on no blade, one blade,
+    the scalar and 2n vector blades, or every blade; zero elsewhere."""
+    n, N = draw(st.integers(1, 3)), draw(st.sampled_from([4, 6, 8]))
+    spec = GridSpec(n, 1.0, Fraction(1, 4), N)
+    nb = spec.nblades
+    kind = draw(st.sampled_from(["empty", "one", "vector", "all"]))
+    live = {
+        "empty": [],
+        "one": [draw(st.integers(0, nb - 1))],
+        "vector": [0] + [1 << g for g in range(2 * n)],
+        "all": list(range(nb)),
+    }[kind]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.zeros((nb,) + spec.site_shape, dtype=complex)
+    for m in live:
+        values[m] = rng.standard_normal(spec.site_shape) + 1j * rng.standard_normal(spec.site_shape)
+    return spec, live, values
+
+
+@settings(max_examples=60)
+@given(live_blade_values())
+def test_live_blade_transforms_match_whole_array_fft(case):
+    spec, live, values = case
+    dead = np.setdiff1d(np.arange(spec.nblades), live)
+    for got, forward in (
+        (dft_forward(Field(spec, values)).values, True),
+        (dft_inverse(MomentumField(spec, values)).values, False),
+    ):
+        assert got.tobytes() == whole_array_transform(values, spec, forward).tobytes()
+        assert np.all(got[dead] == 0.0) and not np.signbit(got[dead].view(float)).any()
