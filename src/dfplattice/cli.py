@@ -323,10 +323,14 @@ def _cmd_dump_multiplier(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verification import run_all, run_suite
+    from .verification import SUITES, run_all, run_suite
 
     suite = args.suite
-    results = run_all() if suite in (None, "all") else run_suite(suite)
+    if suite != "all" and suite not in SUITES:
+        print(f"dfplattice verify: error: unknown suite {suite!r}; choose from "
+              f"{', '.join(SUITES)} or all", file=sys.stderr)
+        return EXIT_USAGE
+    results = run_all() if suite == "all" else run_suite(suite)
     name_w = max(len(r.name) for r in results)
     lines = [f"{'check'.ljust(name_w)}  {'tolerance':>11}  {'achieved':>12}  status"]
     for r in results:

@@ -320,7 +320,9 @@ def _sum_slab(params, flat, lam, t0, pid, exact, max_terms, value, converged, ca
                 e, acc, top, big = e + up, acc * scale, top * scale, big * scale
                 if exact:
                     terms, tmag = terms * scale, tmag * scale
-            acc, last = acc + terms.sum(axis=0), terms[-1]
+            # each element's terms contiguous, so numpy sums every element pairwise,
+            # as in a one-element call, whatever else shares the slab
+            acc, last = acc + np.add.reduce(np.ascontiguousarray(terms.T), axis=1), terms[-1]
             top = np.maximum(top, np.abs(acc))
             big = np.maximum(big, tmag)
             done = (tmag < _TERM_EPS * top) & (m.size == _BLOCK)

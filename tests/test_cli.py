@@ -225,14 +225,29 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_verify_suite_operators(capsys):
-    code, out, _ = run_cli(["verify", "--suite", "operators"], capsys)
-    assert code == 0
-    assert "operators-square-condition" in out
-    line = next(l for l in out.splitlines() if "square-condition" in l)
-    assert "PASS" in line
-    achieved = float(line.split()[3])
-    assert achieved <= 1e-12
+@pytest.mark.parametrize(
+    "args, achieved, status, summary, exit_code",
+    [(["verify"], 0.5, "PASS", "1/1 checks passed", 0),
+     (["verify", "--suite", "fake"], 2.0, "FAIL", "0/1 checks passed", 1)],
+    ids=["pass", "fail"],
+)
+def test_verify_reports_each_check(monkeypatch, capsys, args, achieved, status, summary, exit_code):
+    from dfplattice import verification
+
+    fake = verification.Check("fake-check", 1.0, lambda: achieved)
+    monkeypatch.setattr(verification, "SUITES", {"fake": [fake]})
+    code, out, _ = run_cli(args, capsys)
+    assert code == exit_code
+    header, line, last = out.splitlines()
+    assert header.split() == ["check", "tolerance", "achieved", "status"]
+    assert line.split() == ["fake-check", "<=", "1", f"{achieved:g}", status]
+    assert last == summary
+
+
+def test_verify_unknown_suite_is_a_usage_error(capsys):
+    code, out, err = run_cli(["verify", "--suite", "bogus"], capsys)
+    assert code == 2 and out == ""
+    assert "'bogus'" in err and "clifford, lattice, spectral, operators, specfun, solver or all" in err
 
 
 def test_config_file_precedence(tmp_path, capsys):

@@ -97,22 +97,6 @@ def test_blade_product_signs_match_oracle(dim):
             assert blade_product(i, j, dim) == blade_product_sorting(i, j, dim)
 
 
-def test_associativity_random():
-    rng = np.random.default_rng(5)
-    for dim in (1, 2, 3):
-        for _ in range(10):
-            a, b, c = rand_mv(dim, rng), rand_mv(dim, rng), rand_mv(dim, rng)
-            assert ((a * b) * c - a * (b * c)).sup_norm() < 1e-12
-
-
-def test_dagger_antiautomorphism_random():
-    rng = np.random.default_rng(6)
-    for dim in (1, 2, 3):
-        for _ in range(10):
-            a, b = rand_mv(dim, rng), rand_mv(dim, rng)
-            assert ((a * b).dagger() - b.dagger() * a.dagger()).sup_norm() < 1e-12
-
-
 def test_dirac_symbol_shaped_vectors_square_to_scalars():
     # vectors of the Dirac-symbol shape, imaginary on the e_j block and real
     # on the e_{n+j} block, satisfy a^dagger = a, so a^dagger a = a^2 is the

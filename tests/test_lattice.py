@@ -82,24 +82,6 @@ def test_sesquilinear_single_site_example():
     assert got.isclose(Multivector.blade(0b01, 1, -1.0))
 
 
-def test_sesquilinear_conjugate_symmetry():
-    rng = np.random.default_rng(4)
-    spec = GridSpec(2, 0.75, Fraction(1, 3), 6)
-    for _ in range(5):
-        f, g = random_field(spec, rng), random_field(spec, rng)
-        assert (sesquilinear(f, g).dagger() - sesquilinear(g, f)).sup_norm() < 1e-12
-
-
-def test_sesquilinear_right_linearity():
-    rng = np.random.default_rng(5)
-    spec = GridSpec(1, 1.0, Fraction(1, 4), 8)
-    f, g, g2 = (random_field(spec, rng) for _ in range(3))
-    lam = 0.7 - 1.9j
-    lhs = sesquilinear(f, Field(spec, lam * g.values + g2.values))
-    rhs = sesquilinear(f, g) * lam + sesquilinear(f, g2)
-    assert (lhs - rhs).sup_norm() < 1e-12
-
-
 @pytest.fixture(scope="module")
 def dense_pair_3d():
     """3D N=4 fields with all 64 blades live, and sum_x f(x)^dagger g(x) by the oracle."""
