@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dfplattice.clifford import Multivector
+from dfplattice.clifford import Multivector, geometric_product_arrays
 from dfplattice.lattice import Field, GridSpec, delta_h
 from dfplattice.operators import (
     dirac_apply,
@@ -52,6 +52,17 @@ def test_zone_validation():
     # the zone (-pi/h, pi/h] is open at -pi/h
     with pytest.raises(ValueError):
         dirac_symbol((-np.pi,), spec)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 10**8), Fraction(1, 4), Fraction(1, 2)])
+@pytest.mark.parametrize("n,N,h", [(1, 32, 1.0), (2, 8, 0.5)])
+def test_square_condition(n, N, h, alpha):
+    spec = GridSpec(n, h, alpha, N)
+    tab = symbol_tables(spec)
+    z = dirac_multiplier(spec).values
+    sq = geometric_product_arrays(z, z, n)
+    assert np.max(np.abs(sq[0] - tab.d2)) < 1e-12
+    assert max(np.max(np.abs(sq[m])) for m in range(1, spec.nblades)) < 1e-12
 
 
 def test_laplacian_constant_field():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfplattice.lattice import Field, GridSpec, delta_h, mass
+from dfplattice.lattice import Field, GridSpec, delta_h, mass, normalization_check
 from dfplattice.operators import apply_dirac_symbol_arrays, symbol_tables
 from dfplattice.specfun import DomainError, bessel_i_scaled, fox_wright
 from dfplattice.spectral import convolve
@@ -77,6 +77,21 @@ def test_live_blade_solvers_match_all_blade_computation(case, t):
 def test_heat_kernel_tau_zero_is_delta():
     spec = GridSpec(1, 0.5, Fraction(1, 4), 8)
     assert heat_kernel(spec, 0.0).sup_diff(delta_h(spec)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "N,tau",
+    [pytest.param(64, tau, id=str(tau)) for tau in (0.1, 0.25, 1.0)]
+    # wide kernels on small grids wrap around the torus many times
+    + [pytest.param(4, 10.0, id="N4-10.0"), pytest.param(8, 20.0, id="N8-20.0")],
+)
+def test_heat_kernel_dual_route_and_mass(N, tau):
+    spec = GridSpec(1, 1.0, Fraction(1, 4), N)
+    ka = heat_kernel(spec, tau, "multiplier")
+    kb = heat_kernel(spec, tau, "bessel")
+    assert ka.sup_diff(kb) < 1e-10
+    assert abs(normalization_check(ka) - 1.0) < 1e-10
+    assert abs(normalization_check(kb) - 1.0) < 1e-10
 
 
 def test_heat_kernel_bessel_route_values():

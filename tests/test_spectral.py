@@ -52,6 +52,16 @@ def test_forward_acts_componentwise():
     assert np.allclose(dft_forward(f_vector).values[0b01], dft_forward(f_scalar).values[0], atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [GridSpec(1, 0.5, Fraction(1, 4), 16), GridSpec(2, 1.0, Fraction(1, 3), 6), GridSpec(3, 1.0, Fraction(1, 4), 4)],
+)
+def test_roundtrip_random(spec):
+    rng = np.random.default_rng(1)
+    f = random_field(spec, rng)
+    assert dft_inverse(dft_forward(f)).sup_diff(f) < 1e-12
+
+
 def test_forward_matches_direct_oracle():
     rng = np.random.default_rng(2)
     for spec in (GridSpec(1, 0.75, Fraction(1, 4), 8), GridSpec(2, 1.25, Fraction(2, 5), 4)):
