@@ -1,11 +1,13 @@
 """One-sided stable (Levy) density with Laplace transform e^{-s^nu}.
 
-Two complementary evaluations:
+The density takes a scalar u or an array, evaluated in one pass per route:
 
 * Wright series  L_nu(u) = (1/u) * 0Psi1[(0, -nu); -u^{-nu}]
             = -(1/pi) sum_{k>=1} (-1)^k Gamma(nu k + 1)/k! sin(pi nu k) u^{-nu k - 1},
-  used where its argument is small (u^{-nu} <= 2); reciprocal-Gamma pole
-  terms vanish identically and no cancellation builds up in that range.
+  used where u^{-nu} <= 2, as one Fox-Wright call over those elements;
+  reciprocal-Gamma pole terms vanish identically.  It raises DomainError
+  where its cancellation times the ``np.longdouble`` epsilon exceeds the
+  1e-12 accuracy contract: at u^{-nu} = 2, from nu = 0.87 on.
 
 * steepest-descent (Zolotarev) integral, used everywhere else:
 
@@ -14,8 +16,11 @@ Two complementary evaluations:
     U(phi)  = sin(nu phi)^{nu/(1-nu)} sin((1-nu) phi) / sin(phi)^{1/(1-nu)},
 
   an all-positive integrand (no oscillation, graceful underflow to 0 as
-  u -> 0) evaluated on a fixed composite Gauss grid precomputed per nu, so
-  a density call costs one vectorized exponential.
+  u -> 0) on a fixed composite Gauss grid precomputed per nu: one (u x grid)
+  exponential and one product with the weights.
+
+The Laplace transform is one ``scipy.integrate.cubature`` pass (GK21, in v
+with u = Q v^4) over all the nodes of a subdivision and all s at once.
 """
 
 from __future__ import annotations
@@ -33,6 +38,9 @@ __all__ = ["levy_pdf", "levy_pdf_eval", "LevyValue", "levy_laplace"]
 # series only while |lam| = u^{-nu} stays this small; beyond it the integral
 # is both better conditioned and cheaper
 _SERIES_ARG_MAX = 2.0
+# the density's relative accuracy contract, and the largest series cancellation it admits
+_CONTRACT = 1e-12
+_CANCELLATION_BUDGET = _CONTRACT / np.finfo(np.longdouble).eps
 
 
 @dataclass(frozen=True)
@@ -47,12 +55,18 @@ def _check_index(nu: float) -> float:
     return float(nu)
 
 
-def _series(nu: float, u: float) -> float:
-    params = FoxWrightParams((), ((0.0, -nu),))
-    res = fox_wright_eval(params, -(u**-nu))
-    if res.status != "converged":
-        raise DomainError(f"Levy series failed to converge at nu={nu}, u={u}")
-    return float(res.value.real) / u
+def _series(nu: float, u) -> np.ndarray:
+    u = np.atleast_1d(u)
+    res = fox_wright_eval(FoxWrightParams((), ((0.0, -nu),)), -(u**-nu))
+    if np.any(res.status != "converged"):
+        raise DomainError(f"Levy series failed to converge at nu={nu}")
+    worst = int(np.argmax(res.cancellation))
+    if res.cancellation[worst] > _CANCELLATION_BUDGET:
+        raise DomainError(
+            f"Levy series at nu={nu}, u={u[worst]}: cancellation {res.cancellation[worst]:.3e} "
+            f"exceeds the budget {_CANCELLATION_BUDGET:.3e} of the {_CONTRACT:g} accuracy contract"
+        )
+    return res.value.real / u
 
 
 @lru_cache(maxsize=32)
@@ -60,20 +74,15 @@ def _zolotarev_grid(nu: float):
     """Fixed composite Gauss nodes phi_i with log U(phi_i), shared per nu."""
     r = nu / (1.0 - nu)
     # coarse interior panels plus geometric refinement into both endpoints
-    edges = [0.0]
-    edges += list(np.linspace(0.02, 2.8, 9))
+    edges = [0.0] + list(np.linspace(0.02, 2.8, 9))
     delta = np.pi - 2.8
     while delta > 1e-5:
         delta *= 0.32
         edges.append(np.pi - delta)
     nodes, weights = np.polynomial.legendre.leggauss(16)
-    phi = []
-    w = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        phi.append(0.5 * (b - a) * nodes + 0.5 * (a + b))
-        w.append(0.5 * (b - a) * weights)
-    phi = np.concatenate(phi)
-    w = np.concatenate(w)
+    a, b = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+    phi = (0.5 * (b - a) * nodes + 0.5 * (a + b)).ravel()
+    w = (0.5 * (b - a) * weights).ravel()
     logU = (
         r * np.log(np.sin(nu * phi))
         + np.log(np.sin((1.0 - nu) * phi))
@@ -83,42 +92,56 @@ def _zolotarev_grid(nu: float):
     return phi, w, logU, u_floor
 
 
-def _zolotarev(nu: float, u: float) -> float:
+def _zolotarev(nu: float, u) -> np.ndarray:
     r = nu / (1.0 - nu)
     _, w, logU, u_floor = _zolotarev_grid(nu)
+    u = np.atleast_1d(u)
     a = u**-r
-    if a * u_floor > 745.0:  # entire integrand underflows
-        return 0.0
+    out = np.zeros(u.shape)
+    keep = a * u_floor <= 745.0  # elsewhere the entire integrand underflows
     with np.errstate(over="ignore", under="ignore"):
-        vals = np.exp(logU - a * np.exp(logU))
-    integral = float(np.sum(w * vals))
-    return r / np.pi * u ** (-1.0 / (1.0 - nu)) * integral
+        vals = np.exp(logU - a[keep, None] * np.exp(logU))
+    out[keep] = r / np.pi * u[keep] ** (-1.0 / (1.0 - nu)) * np.sum(w * vals, axis=1)
+    return out
+
+
+def _density(nu: float, u) -> tuple:
+    """(values, series mask) at the elements of ``u``, both of its shape."""
+    nu = _check_index(nu)
+    u = np.asarray(u, dtype=float)
+    if not np.all(u > 0.0):
+        raise DomainError("Levy density argument u must be positive")
+    flat = u.reshape(-1)
+    series = flat**-nu <= _SERIES_ARG_MAX
+    out = np.empty(flat.shape)
+    if series.any():
+        out[series] = _series(nu, flat[series])
+    if not series.all():
+        out[~series] = _zolotarev(nu, flat[~series])
+    return out.reshape(u.shape), series.reshape(u.shape)
 
 
 def levy_pdf_eval(nu: float, u: float) -> LevyValue:
-    """Density value plus which route produced it."""
-    nu = _check_index(nu)
-    if u <= 0.0:
-        raise DomainError("Levy density argument u must be positive")
-    if u**-nu <= _SERIES_ARG_MAX:
-        return LevyValue(_series(nu, u), "series")
-    return LevyValue(_zolotarev(nu, u), "integral")
+    """Density value at a scalar u plus which route produced it."""
+    value, series = _density(nu, float(u))
+    return LevyValue(float(value), "series" if series else "integral")
 
 
-def levy_pdf(nu: float, u: float) -> float:
-    """One-sided stable density L_nu(u)."""
-    return levy_pdf_eval(nu, u).value
+def levy_pdf(nu: float, u: float | np.ndarray) -> float | np.ndarray:
+    """One-sided stable density L_nu(u): a float for a scalar u, an array of u's shape otherwise."""
+    value, _ = _density(nu, u)
+    return float(value) if value.ndim == 0 else value
 
 
 def levy_laplace(nu: float, s: float | np.ndarray) -> float | np.ndarray:
     """int_0^inf e^{-s u} L_nu(u) du by quadrature of the density.
 
     ``s`` may be a scalar (float result) or an array (array of its shape);
-    all entries share one vector-valued quadrature, cut off where the
-    smallest positive s leaves mass below 1e-10 of the result scale.  The
-    identity value is e^{-s^nu}; this routine never uses it -- it is the
-    independent side of that check.  Entries s = 0 return the exact total
-    mass 1.
+    all entries share one ``cubature`` pass, cut off where the smallest
+    positive s leaves mass below 1e-10 of the result scale, and a pass that
+    does not converge raises DomainError.  The identity value is e^{-s^nu};
+    this routine never uses it -- it is the independent side of that check.
+    Entries s = 0 return the exact total mass 1.
     """
     nu = _check_index(nu)
     s_arr = np.asarray(s, dtype=float)
@@ -127,15 +150,21 @@ def levy_laplace(nu: float, s: float | np.ndarray) -> float | np.ndarray:
     out = np.ones(s_arr.shape)
     pos = s_arr > 0.0
     if np.any(pos):
-        from scipy.integrate import quad_vec
+        from scipy.integrate import cubature
 
         sp = s_arr[pos]
         Q = float(np.max((24.0 + sp**nu) / sp))
-        val, err, info = quad_vec(
-            lambda u: np.exp(-sp * u) * levy_pdf(nu, u), 0.0, Q,
-            epsabs=1e-12, epsrel=1e-10, norm="max", limit=800, full_output=True,
-        )
-        if info.status != 0:
-            raise DomainError(f"Levy Laplace quadrature stopped at error {err:.3e}: {info.message}")
-        out[pos] = val
+
+        def integrand(x: np.ndarray) -> np.ndarray:
+            v = x[:, 0]
+            u = Q * v**4  # nodes crowd towards the steep rise of the density near 0
+            return np.exp(-sp * u[:, None]) * (levy_pdf(nu, u) * (4.0 * Q * v**3))[:, None]
+
+        res = cubature(integrand, [0.0], [1.0], rule="gk21", rtol=1e-10, atol=1e-12, max_subdivisions=800)
+        if res.status != "converged":
+            raise DomainError(
+                f"Levy Laplace cubature stopped after {res.subdivisions} subdivisions "
+                f"at error {float(np.max(res.error)):.3e}"
+            )
+        out[pos] = res.estimate
     return float(out) if out.ndim == 0 else out

@@ -24,17 +24,18 @@ size of the call; each block's coefficients are built once per parameter
 set that an unfinished element of the slab still uses, as a (terms x sets)
 array, and gathered per element.
 
-* Coefficient rule.  When every row (v, w) has real v > 0 and a
-  positive-integer weight w, and every lam is real, term m is term m - 1
-  times the exact Pochhammer ratio
+* Coefficient rule, chosen per element.  When every row (v, w) has real
+  v > 0 and a positive-integer weight w, and the element's lam is real,
+  term m is term m - 1 times the exact Pochhammer ratio
   lam prod_k (a_k + A_k (m-1))_{A_k} / (m prod_l (b_l + B_l (m-1))_{B_l}),
   with ratios, products and sums in ``np.longdouble`` (extended precision
   on x86, plain double on platforms without it), so alternating sums such
   as cos(10) = sqrt(pi) 0Psi1[(1/2,1); -25] keep their digits.  Otherwise
   each term is the exponential of a sum of log-Gammas: denominator pole
   terms are exact zeros, numerator poles are genuine parameter
-  singularities and raise.  A ratio block that leaves the double range
-  switches the slab to log-Gammas for the remaining blocks.  The block
+  singularities and raise.  An element whose ratio terms leave the double
+  range is summed again from m = 1 with log-Gammas.  So an element's value
+  does not depend on the elements that share its call.  The block
   coefficients depend on the parameters only; those of scalar rows are
   cached.
 * Rescale.  Each element's terms and partial sums are held in units of
@@ -256,8 +257,8 @@ def _sum_series(params: FoxWrightParams, lam: np.ndarray, pid: np.ndarray, max_t
     """
     params.check_admissible(np.abs(lam).max(initial=0.0))  # admissibility depends on |lam| only
     t0 = np.ravel(_m0_term(params))  # one per parameter set
-    # positive-integer weights with positive real rows admit exact term ratios
-    exact = not np.any(lam.imag) and all(
+    # positive-integer weights with positive real rows admit exact term ratios at a real lam
+    exact_rows = all(
         w == int(w) and w > 0 and np.all(np.imag(v) == 0.0) and np.all(np.real(v) > 0.0)
         for v, w in params.upper + params.lower
     )
@@ -271,28 +272,45 @@ def _sum_series(params: FoxWrightParams, lam: np.ndarray, pid: np.ndarray, max_t
     value = np.empty(lam.shape, dtype=complex)
     converged = np.ones(lam.shape, dtype=bool)
     cancellation = np.empty(lam.shape)
+
+    def sum_into(idx, exact):
+        """Sum the elements ``idx`` under one rule; returns the terms taken and the overflowed elements."""
+        if not idx.size:
+            return 1, idx
+        res = _sum_slab(params, flat, lam[idx], t0[pid[idx]], pid[idx], exact, max_terms)
+        value[idx], converged[idx], cancellation[idx] = res[:3]
+        return res[3], idx[res[4]]
+
     terms_used = 1
     for lo in range(0, lam.size, _SLAB):
-        part = slice(lo, lo + _SLAB)
-        terms = _sum_slab(
-            params, flat, lam[part], t0[pid[part]], pid[part], exact, max_terms,
-            value[part], converged[part], cancellation[part],
-        )
-        terms_used = max(terms_used, terms)
+        logs = np.arange(lo, min(lo + _SLAB, lam.size))
+        if exact_rows:
+            # the rule is chosen per element, so no element depends on what shares its call:
+            # exact ratios at a real lam, log-Gammas otherwise and where the ratio terms overflow
+            real = lam[logs].imag == 0.0
+            terms, redo = sum_into(logs[real], True)
+            logs = np.concatenate((logs[~real], redo))
+            terms_used = max(terms_used, terms)
+        terms_used = max(terms_used, sum_into(logs, False)[0])
     return value, converged, cancellation, terms_used
 
 
-def _sum_slab(params, flat, lam, t0, pid, exact, max_terms, value, converged, cancellation):
-    """Sum one slab into ``value``, ``converged`` and ``cancellation``; returns the terms taken.
+def _sum_slab(params, flat, lam, t0, pid, exact, max_terms):
+    """Sum one slab's elements under one coefficient rule.
 
     ``t0`` is each element's m = 0 term and ``pid`` its index on the
     flattened parameter axis, whose rows are ``flat`` (None for scalar rows).
     Block coefficients are built for the sets of unfinished elements only.
+    Returns the value, converged flag and cancellation per element, the
+    terms taken, and a mask of the elements whose exact-ratio terms left the
+    double range: those are left unsummed, to be summed with log-Gammas.
     """
     # per element: partial sum in units of 2^exps, largest |term| in the same units
     sums = t0.copy()
     exps = np.zeros(lam.shape, dtype=int)
     peaks = np.abs(t0)
+    converged = np.ones(lam.shape, dtype=bool)
+    overflow = np.zeros(lam.shape, dtype=bool)
     # the same for the unfinished elements, with lam, the last term and the largest block-end |sum|
     live = np.flatnonzero(lam)
     x, acc, e, big = lam[live], sums[live], exps[live], peaks[live]
@@ -306,9 +324,15 @@ def _sum_slab(params, flat, lam, t0, pid, exact, max_terms, value, converged, ca
                 m, ratio = _block_coefficients(params, rows, col, m0, stop, True)
                 terms = last * (ratio * x.real).cumprod(axis=0)
                 tmag = np.abs(terms).max(axis=0)
-                exact = bool(np.isfinite(tmag.astype(float)).all())
+                keep = np.isfinite(tmag.astype(float))
+                if not keep.all():
+                    overflow[live[~keep]] = True
+                    state = (live, x, acc, e, big, last, top, col, tmag)
+                    live, x, acc, e, big, last, top, col, tmag = (v[keep] for v in state)
+                    terms = terms[:, keep]
+                    rows, col = _narrow(rows, col)
                 up = np.maximum(np.frexp(tmag)[1], 0)
-            if not exact:
+            else:
                 m, logc = _block_coefficients(params, rows, col, m0, stop, False)
                 logt = logc + m * np.log(x)
                 up = np.maximum(np.ceil(logt.real.max(axis=0) / _LN2) - e, 0).astype(int)
@@ -337,10 +361,11 @@ def _sum_slab(params, flat, lam, t0, pid, exact, max_terms, value, converged, ca
                 live, x, acc, e, big, last, top, col = (v[keep] for v in state)
                 rows, col = _narrow(rows, col)
         converged[live] = False  # left only when max_terms <= 1
-        cancellation[:] = peaks / np.abs(sums)
+        cancellation = peaks / np.abs(sums)
+        value = np.empty(lam.shape, dtype=complex)
         value.real, value.imag = np.ldexp(sums.real, exps), np.ldexp(sums.imag, exps)
     cancellation[lam == 0] = 1.0
-    return m0
+    return value, converged, cancellation, m0, overflow
 
 
 def fox_wright_eval(

@@ -6,8 +6,10 @@ via explicit O(N^2) phase sums instead of FFTs (and via one FFT of every
 blade, dead blades included, instead of the live ones), convolution via the literal
 double loop, the fractional Dirac operator via finite-difference
 stencils on a refined grid instead of its Fourier symbol, Fox-Wright
-series via literal Gamma products instead of term ratios or log-Gammas, and
-field rows via a Python sort of every nonzero entry instead of the layout.
+series via literal Gamma products instead of term ratios or log-Gammas, the
+Levy density at index 1/2 via its closed form instead of the series or the
+Zolotarev integral, and field rows via a Python sort of every nonzero entry
+instead of the layout.
 """
 
 from __future__ import annotations
@@ -203,6 +205,14 @@ def fox_wright_partial_sum(upper, lower, lam: complex, terms: int = 100) -> Tupl
         total += term
         largest = max(largest, abs(term))
     return total, largest
+
+
+# ------------------------------------------------------------------- Levy
+
+def levy_half_pdf(u: np.ndarray) -> np.ndarray:
+    """The one-sided stable density at index 1/2 in closed form: u^{-3/2} e^{-1/(4u)} / (2 sqrt(pi))."""
+    u = np.asarray(u, dtype=float)
+    return u**-1.5 * np.exp(-1.0 / (4.0 * u)) / (2.0 * np.sqrt(np.pi))
 
 
 # ------------------------------------------------------------- field rows

@@ -11,6 +11,7 @@ from dfplattice.specfun import DomainError, bessel_i_scaled, fox_wright
 from dfplattice.spectral import convolve
 from dfplattice.solver import (
     ModelParams,
+    QuadratureError,
     default_contour_abscissa,
     dfp_evolve,
     dfp_evolve_stepped,
@@ -200,6 +201,26 @@ def test_kernel_convolution_representation():
 def test_kg_initial_conditions():
     phi0 = random_field(SPEC32, np.random.default_rng(2))
     assert klein_gordon_evolve(phi0, 0.0, 0.5, PARAMS) is phi0
+    stacked = klein_gordon_evolve(phi0, 0.0, np.array([0.0, 0.5]), PARAMS)
+    assert stacked.shape == (2,) + phi0.values.shape
+    assert np.array_equal(stacked, np.stack([phi0.values] * 2))
+
+
+@settings(max_examples=30)
+@given(live_blade_values(), st.lists(st.sampled_from([0.0, 1e-3, 0.4, 2.5, 80.0]), min_size=1, max_size=5))
+def test_kg_node_axis_matches_scalar_calls(case, p):
+    # the nodes share one forward transform; each equals its own scalar call bit for bit
+    spec, _, values = case
+    phi0 = Field(spec, values)
+    stacked = klein_gordon_evolve(phi0, 0.7, np.array(p), PARAMS)
+    single = np.stack([klein_gordon_evolve(phi0, 0.7, q, PARAMS).values for q in p])
+    assert stacked.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("p", [-1e-3, np.array([0.5, -1e-3]), np.array([0.2, np.nan])])
+def test_kg_rejects_negative_damping(p):
+    with pytest.raises(ValueError, match="p must be >= 0"):
+        klein_gordon_evolve(delta_h(SPEC16), 0.5, p, PARAMS)
 
 
 # ------------------------------------------------------------ subordination
@@ -216,6 +237,13 @@ def test_subordination_sitewise_drawn_case():
     pr = ModelParams(0.9282393526004363, 1.0696746240197068, 0.6647976455620032)
     lhs, rhs = levy_subordination_check(d, 0.8791121940142335, pr)
     assert lhs.sup_diff(rhs) / lhs.sup_norm() < 1e-5
+
+
+def test_subordination_unconverged_cubature_raises():
+    # a tolerance no pass can meet: the head stops at its subdivision cap and says so
+    pr = ModelParams(mu=1.0, sigma2=1.0, hurst=0.7)
+    with pytest.raises(QuadratureError, match="stopped after 100 subdivisions"):
+        levy_subordination_check(delta_h(SPEC16), 0.8, pr, quad_tol=1e-30)
 
 
 def test_subordination_degenerate_diffusion():

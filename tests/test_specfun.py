@@ -26,7 +26,7 @@ from dfplattice.specfun import (
     wright_cos,
     wright_sinc,
 )
-from oracles import fox_wright_partial_sum
+from oracles import fox_wright_partial_sum, levy_half_pdf
 
 
 # ---------------------------------------------------------------- gamma
@@ -224,6 +224,16 @@ def test_fox_wright_slabs_match_per_slab_calls(axis):
     assert whole.terms_used == max(r.terms_used for r in parts)
 
 
+def test_fox_wright_rule_is_chosen_per_element():
+    # a complex companion must not move a real element off the exact-ratio rule
+    p = FoxWrightParams((), ((0.5, 1.0),))
+    mixed = fox_wright_eval(p, np.array([-100.0, 1j]))
+    single = fox_wright_eval(p, -100.0)
+    assert mixed.value[0] == single.value
+    assert mixed.value[0].imag == 0.0
+    assert mixed.cancellation[0] == single.cancellation
+
+
 # --------------------------------------------------------- mittag-leffler
 
 def test_mittag_leffler_examples():
@@ -261,6 +271,57 @@ def test_levy_argument_validation():
         levy_pdf(1.2, 1.0)
     with pytest.raises(DomainError):
         levy_pdf(0.5, -1.0)
+
+
+@st.composite
+def levy_arguments(draw):
+    """(nu, u): u log-uniform in [1e-8, 1e3], plus points at the series switch and deep in the underflow."""
+    nu = draw(st.floats(0.05, 0.8, exclude_min=True))
+    edge = 2.0 ** (-1.0 / nu)  # u^{-nu} = 2, where the series hands over to the integral
+    point = st.floats(np.log(1e-8), np.log(1e3)).map(np.exp) | st.sampled_from(
+        [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), 1e-8]
+    )
+    return nu, np.array(draw(st.lists(point, min_size=1, max_size=12)))
+
+
+@given(levy_arguments())
+def test_levy_pdf_array_matches_scalar_calls(case):
+    nu, u = case
+    got = levy_pdf(nu, u)
+    assert got.shape == u.shape
+    for g, x in zip(got, u):
+        want = levy_pdf(nu, float(x))
+        assert type(want) is float
+        assert abs(g - want) <= 1e-14 * abs(want)
+
+
+@given(levy_arguments())
+def test_levy_pdf_half_matches_closed_form(case):
+    _, u = case
+    got, want = levy_pdf(0.5, u), levy_half_pdf(u)
+    # relative 1e-12 wherever the density is a normal double; below 1e-300 it underflows towards 0
+    assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-300)
+
+
+@pytest.mark.parametrize("u", [np.array([1.0, 0.0]), np.array([2.0, -1e-3, 3.0]), np.array([[0.5], [np.nan]])])
+def test_levy_pdf_array_rejects_nonpositive_arguments(u):
+    with pytest.raises(DomainError, match="positive"):
+        levy_pdf(0.5, u)
+
+
+def test_levy_series_raises_past_its_digit_budget():
+    # nu = 0.7 at u^{-nu} = 2: the series route, cancellation 2.8, returns
+    edge = 2.0 ** (-1.0 / 0.7)
+    res = levy_pdf_eval(0.7, edge)
+    assert res.method == "series" and res.value > 0.0
+    # nu = 0.9 at u = 0.4634 (u^{-nu} = 2.0): cancellation 7e11 returned -4.8e4 before
+    with pytest.raises(DomainError, match="cancellation"):
+        levy_pdf(0.9, 0.4634)
+    with pytest.raises(DomainError, match="cancellation"):
+        levy_pdf(0.9, np.array([0.05, 5.0, 0.4634]))
+    # and the Laplace pass, which meets that region, stops at once
+    with pytest.raises(DomainError, match="cancellation"):
+        levy_laplace(0.9, 1.0)
 
 
 def test_levy_laplace_exp_minus_one():
