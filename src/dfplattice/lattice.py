@@ -124,17 +124,10 @@ class Field:
         self.values = values
 
     @classmethod
-    def zeros(cls, spec: GridSpec) -> "Field":
-        return cls(spec, np.zeros((spec.nblades,) + spec.site_shape, dtype=complex), _copy=False)
-
-    @classmethod
     def from_blade_array(cls, spec: GridSpec, mask: int, arr: np.ndarray) -> "Field":
         vals = np.zeros((spec.nblades,) + spec.site_shape, dtype=complex)
         vals[mask] = arr
         return cls(spec, vals, _copy=False)
-
-    def with_values(self, values: np.ndarray) -> "Field":
-        return Field(self.spec, values)
 
     def mv(self, site: Tuple[int, ...]) -> Multivector:
         """The Multivector at one site (multi-index over {0..N-1}^n)."""

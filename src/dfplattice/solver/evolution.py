@@ -25,7 +25,7 @@ from ..clifford import AlgebraError, generator_tables, live_blades
 from ..lattice import Field, GridSpec, delta_h
 from ..operators import _apply_dirac_rows, dirac_apply, laplacian_apply, symbol_tables
 from ..specfun import bessel_i_scaled, gamma
-from ..spectral import MomentumField, _placed, _transform_rows, dft_forward, dft_inverse
+from ..spectral import _placed, _transform_rows, dft_forward
 from .params import ModelParams
 
 __all__ = [
@@ -37,6 +37,11 @@ __all__ = [
     "klein_gordon_evolve",
     "wilson_diffusion_coefficient",
 ]
+
+
+def _require_time(t: float, name: str = "t") -> None:
+    if not 0.0 <= t < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {t}")
 
 
 def trig_factors(d2: np.ndarray, mu: float, t: float):
@@ -79,6 +84,14 @@ def _evolved_values(phi0: Field, scalar: np.ndarray, cos_part: np.ndarray, sinc_
     return values
 
 
+def _delta_kernel(spec: GridSpec, mult: np.ndarray) -> np.ndarray:
+    """Scalar blade of F^-1[mult * F delta_h], one kernel per leading index of ``mult``;
+    every other blade of the delta, its transform and the kernel is exactly 0."""
+    Fd = dft_forward(delta_h(spec)).values[0]
+    prod = mult * Fd
+    return _transform_rows(prod.reshape((-1,) + spec.site_shape), spec, forward=False).reshape(prod.shape)
+
+
 def heat_kernel(spec: GridSpec, tau: float, route: str = "multiplier") -> Field:
     """exp(tau * Laplacian) delta_h, normalized to unit lattice mass.
 
@@ -87,14 +100,11 @@ def heat_kernel(spec: GridSpec, tau: float, route: str = "multiplier") -> Field:
     functions e^{-z} I_k(z) with z = 2 tau / h^2 (image sum over the
     periodic copies) and fixes the constant by sum_x h^n K = 1.
     """
-    if tau < 0.0:
-        raise ValueError("tau must be >= 0")
+    _require_time(tau, "tau")
     if tau == 0.0:
         return delta_h(spec)
     if route == "multiplier":
-        # the scalar blade alone: the other blades of the delta and its transform are exactly 0
-        Fd = dft_forward(delta_h(spec)).values[0]
-        return dft_inverse(MomentumField.from_blade_array(spec, 0, np.exp(-tau * symbol_tables(spec).d2) * Fd))
+        return Field.from_blade_array(spec, 0, _delta_kernel(spec, np.exp(-tau * symbol_tables(spec).d2)))
     if route == "bessel":
         z, N = 2.0 * tau / spec.h**2, spec.N
         offsets = np.arange(N)
@@ -115,8 +125,7 @@ def heat_kernel(spec: GridSpec, tau: float, route: str = "multiplier") -> Field:
 
 def dfp_evolve(phi0: Field, t: float, params: ModelParams) -> Field:
     """Flow of d_t Phi = i mu D Phi + sigma2 H t^{2H-1} Lap Phi up to time t."""
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
+    _require_time(t)
     if t == 0.0:
         return phi0
     spec = phi0.spec
@@ -139,9 +148,10 @@ def klein_gordon_evolve(phi0: Field, t: float, p, params: ModelParams):
     Field; an array ``p`` gives the values of one solution per element, shape
     ``p.shape + phi0.values.shape``, each equal to the float call's bits.
     """
+    _require_time(t)
     nodes = np.asarray(p, dtype=float)
-    if not (t >= 0.0 and np.all(nodes >= 0.0)):
-        raise ValueError("t and p must be >= 0")
+    if not np.all(nodes >= 0.0):
+        raise ValueError("p must be >= 0")
     if t == 0.0:
         return phi0 if nodes.ndim == 0 else np.broadcast_to(phi0.values, nodes.shape + phi0.values.shape).copy()
     spec = phi0.spec
@@ -230,7 +240,9 @@ def wilson_diffusion_coefficient(hurst: float) -> float:
 
     Both closed forms, Gamma(2-2H) cos(pi (H-1)) / (pi H (2H-1)) and
     Gamma(2-2H) sin(pi (1/2-H)) / (pi H (1-2H)), are evaluated and must
-    agree; H = 1/2 is a removable singularity with limit value 1.
+    agree; H = 1/2 is a removable singularity with limit value 1.  Near it
+    both cancel 0/0, so the value returned is the sine form with the
+    cancelling factor written as a sinc, Gamma(2-2H) sinc(1/2-H) / (2H).
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError("hurst must lie in (0, 1)")
@@ -243,4 +255,4 @@ def wilson_diffusion_coefficient(hurst: float) -> float:
     cond = 1.0 + 1.0 / abs(1.0 - 2.0 * hurst)
     if abs(form_cos - form_sin) > 1e-12 * cond * max(1.0, abs(form_cos)):
         raise AlgebraError(f"closed forms disagree: {form_cos} vs {form_sin}")
-    return float(form_cos)
+    return float(g * np.sinc(0.5 - hurst) / (2.0 * hurst))

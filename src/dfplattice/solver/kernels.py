@@ -32,11 +32,10 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..lattice import Field, GridSpec, delta_h
-from ..operators import symbol_tables
+from ..lattice import Field, GridSpec
+from ..operators import laplacian_symbol, symbol_tables
 from ..specfun import DomainError, FoxWrightParams, fox_wright, mellin_transform
-from ..spectral import MomentumField, dft_forward, dft_inverse
-from .evolution import trig_factors
+from .evolution import _delta_kernel, _require_time, trig_factors
 from .params import ModelParams
 
 __all__ = [
@@ -63,7 +62,9 @@ def _damping_constant(spec: GridSpec, params: ModelParams) -> float:
     return spec.n * params.sigma2 / spec.h**2
 
 
-def _require_mellin_range(spec: GridSpec, params: ModelParams) -> None:
+def _check_mellin_args(spec: GridSpec, params: ModelParams, beta: int, re_omega: float) -> int:
+    """beta, alpha + 1/2 <= H < 1, sigma2 > 0 and the strip Re omega > -beta; returns beta."""
+    beta = _check_beta(beta)
     lo = spec.alpha_float + 0.5
     if not lo <= params.hurst < 1.0:
         raise DomainError(
@@ -72,18 +73,25 @@ def _require_mellin_range(spec: GridSpec, params: ModelParams) -> None:
         )
     if params.sigma2 <= 0.0:
         raise DomainError("Mellin-Barnes kernel routines require sigma2 > 0")
+    if re_omega <= -beta:
+        raise DomainError(f"Re omega = {re_omega} outside the strip Re omega > {-beta}")
+    return beta
 
 
-def _wright_multiplier(d2: np.ndarray, mu: float, t: float, beta: int) -> np.ndarray:
-    """sqrt(pi) (mu/2)^beta t^beta 0Psi1[(beta+1/2,1); -mu^2 t^2 d2/4]."""
-    p = FoxWrightParams((), ((beta + 0.5, 1.0),))
-    lam = -(mu**2) * t * t * d2 / 4.0
-    return np.sqrt(np.pi) * (mu / 2.0) ** beta * t**beta * fox_wright(p, lam)
+def _kernel_multiplier(d2, t: float, spec: GridSpec, params: ModelParams, beta: int, route: str):
+    """e^{-c0 t^{2H}} times the cosine or sine factor of K_beta, from ``trig_factors`` or its 0Psi1 series."""
+    if route == "trig":
+        mult = trig_factors(d2, params.mu, t)[beta]
+    elif route == "wright":
+        lam = -(params.mu**2) * t * t * d2 / 4.0
+        series = fox_wright(FoxWrightParams((), ((beta + 0.5, 1.0),)), lam)
+        mult = np.sqrt(np.pi) * (params.mu / 2.0) ** beta * t**beta * series
+    else:
+        raise ValueError(f"unknown route {route!r}")
+    return np.exp(-_damping_constant(spec, params) * t ** (2.0 * params.hurst)) * mult
 
 
-def kg_kernel(
-    spec: GridSpec, t: float, params: ModelParams, beta: int, route: str = "trig"
-) -> Field:
+def kg_kernel(spec: GridSpec, t: float, params: ModelParams, beta: int, route: str = "trig") -> Field:
     """Damped-wave convolution kernel K_beta at time t.
 
     Normalized as an evolved delta, so the convolution split against the
@@ -91,20 +99,9 @@ def kg_kernel(
     e^{-c0 t^{2H}} delta_h.
     """
     beta = _check_beta(beta)
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    tab = symbol_tables(spec)
-    damp = np.exp(-_damping_constant(spec, params) * t ** (2.0 * params.hurst))
-    if route == "trig":
-        cos_part, sinc_part = trig_factors(tab.d2, params.mu, t)
-        mult = cos_part if beta == 0 else sinc_part
-    elif route == "wright":
-        mult = _wright_multiplier(tab.d2, params.mu, t, beta)
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    Fd = dft_forward(delta_h(spec))
-    vals = (damp * mult)[None, ...] * Fd.values
-    return dft_inverse(MomentumField(spec, vals, _copy=False))
+    _require_time(t)
+    mult = _kernel_multiplier(symbol_tables(spec).d2, t, spec, params, beta, route)
+    return Field.from_blade_array(spec, 0, _delta_kernel(spec, mult))
 
 
 def default_contour_abscissa(params: ModelParams, beta: int) -> float:
@@ -135,17 +132,10 @@ def _mellin_mode_multiplier(d2, omega, params: ModelParams, c0: float, beta: int
 
 def kg_kernel_mellin(spec: GridSpec, omega: complex, params: ModelParams, beta: int) -> Field:
     """The time-Mellin transform M{K_beta(y, .)}(omega), as a field over y."""
-    beta = _check_beta(beta)
-    _require_mellin_range(spec, params)
     omega = complex(omega)
-    if omega.real <= -beta:
-        raise DomainError(f"Re omega = {omega.real} outside the strip Re omega > {-beta}")
-    mult = _mellin_mode_multiplier(
-        symbol_tables(spec).d2, omega, params, _damping_constant(spec, params), beta
-    )
-    Fd = dft_forward(delta_h(spec))
-    vals = mult[None, ...] * Fd.values
-    return dft_inverse(MomentumField(spec, vals, _copy=False))
+    beta = _check_mellin_args(spec, params, beta, omega.real)
+    mult = _mellin_mode_multiplier(symbol_tables(spec).d2, omega, params, _damping_constant(spec, params), beta)
+    return Field.from_blade_array(spec, 0, _delta_kernel(spec, mult))
 
 
 def kernel_mellin_identity(
@@ -157,32 +147,21 @@ def kernel_mellin_identity(
 ) -> Tuple[complex, complex]:
     """Numerical Mellin transform of the mode function vs its 1Psi1 closed form.
 
-    The mode function at momentum xi factors as f(t) g(t) with
-    f(t) = sqrt(pi) (mu/2)^beta t^beta e^{-c0 t^{2H}} and
-    g(t) = 0Psi1[(beta+1/2,1); -mu^2 t^2 d2(xi)/4]; the left side integrates
-    it against t^{omega-1}, the right side is the closed 1Psi1 form.
+    The mode function at momentum xi is the Wright-route multiplier of
+    K_beta, f(t) g(t) with f(t) = sqrt(pi) (mu/2)^beta t^beta e^{-c0 t^{2H}}
+    and g(t) = 0Psi1[(beta+1/2,1); -mu^2 t^2 d2(xi)/4]; the left side
+    integrates it against t^{omega-1}, the right side is the closed 1Psi1 form.
     """
-    beta = _check_beta(beta)
-    _require_mellin_range(spec, params)
     omega = complex(omega)
-    if omega.real <= -beta:
-        raise DomainError(f"Re omega = {omega.real} outside the strip Re omega > {-beta}")
-    from ..operators import laplacian_symbol
-
+    beta = _check_mellin_args(spec, params, beta, omega.real)
     d2 = laplacian_symbol(xi, spec)
-    H = params.hurst
     c0 = _damping_constant(spec, params)
-    gp = FoxWrightParams((), ((beta + 0.5, 1.0),))
 
     def fg(t: float) -> float:
-        if t <= 0.0:
+        # below e^-60 the damping kills everything
+        if t <= 0.0 or not c0 * t ** (2.0 * params.hurst) < 60.0:
             return 0.0
-        decay = c0 * t ** (2.0 * H)
-        if not decay < 60.0:  # below e^-60 the factor kills everything
-            return 0.0
-        f = np.sqrt(np.pi) * (params.mu / 2.0) ** beta * t**beta * np.exp(-decay)
-        g = fox_wright(gp, -(params.mu**2) * t * t * d2 / 4.0)
-        return float(f * g.real)
+        return float(_kernel_multiplier(d2, t, spec, params, beta, "wright").real)
 
     lhs = mellin_transform(fg, omega)
     rhs = _mellin_mode_multiplier(d2, omega, params, c0, beta)
@@ -208,13 +187,14 @@ def mellin_barnes_kernel(
     """Reconstruct K_beta(site, t) by vertical-contour Mellin inversion.
 
     Integrates (1/2 pi) M{K_beta(site,.)}(c + i tau) t^{-c-i tau} over
-    tau in [-T, T] with composite Gauss panels.  The transform at the site
-    is the Parseval row against the mode multipliers; the 1Psi1 series of
-    every (contour node, distinct d2) pair is summed in one Fox-Wright call
-    over the node axis, so each series still reports its own cancellation.
-    The integrand decays like exp(-pi |tau| / (4H)) through the Gamma
-    factors; the reported tail bound extrapolates that decay from the last
-    sampled point.  t, T and c must be finite and T > 1e-12 (ValueError).
+    tau in [-T, T] with composite Gauss panels.  The 1Psi1 series of every
+    (contour node, distinct d2) pair is summed in one Fox-Wright call over
+    the node axis, so each series still reports its own cancellation; panel
+    weights and t^{-omega} contract it to one multiplier per mode, and the
+    site is read from its inverse transform.  The integrand decays like
+    exp(-pi |tau| / (4H)) through the Gamma factors; the reported tail bound
+    extrapolates that decay from the site magnitude at the edge panels.
+    t, T and c must be finite and T > 1e-12 (ValueError).
     """
     beta = _check_beta(beta)
     if not np.isfinite(t):
@@ -228,36 +208,25 @@ def mellin_barnes_kernel(
         return MellinBarnesResult(0.0 + 0.0j, 0.0, "ok")
     if t <= 0.0:
         raise ValueError("contour reconstruction needs t > 0")
-    _require_mellin_range(spec, params)
     if c is None:
         c = default_contour_abscissa(params, beta)
-    if c <= -beta:
-        raise DomainError(f"contour abscissa c = {c} outside the strip Re omega > {-beta}")
-
+    _check_mellin_args(spec, params, beta, c)
     if len(site) != spec.n:
         raise ValueError(f"site {tuple(site)} needs {spec.n} coordinates")
-    # Parseval against the delta at the site reads one value of the kernel:
-    # K_beta(site) = sum_k row_k m_k for the mode multiplier m on the scalar blade;
-    # modes sharing a value of d2 share m, so their row entries are added first
-    d0 = delta_h(spec)
-    shift = tuple(int(k) for k in site)
-    at_site = Field(spec, np.roll(d0.values, shift, axis=spec.site_axes), _copy=False)
-    row = spec.momentum_weight * np.conj(dft_forward(at_site).values[0]) * dft_forward(d0).values[0]
-    d2, modes = np.unique(symbol_tables(spec).d2, return_inverse=True)
-    weight = np.zeros(d2.shape, dtype=complex)
-    np.add.at(weight, modes.reshape(-1), row.reshape(-1))
-    c0 = _damping_constant(spec, params)
 
+    d2, modes = np.unique(symbol_tables(spec).d2, return_inverse=True)
     lo = np.arange(-T, T - _PANEL_SLIVER, _PANEL_WIDTH)  # panel starts; the last panel ends at T
     half = 0.5 * (np.minimum(lo + _PANEL_WIDTH, T) - lo)[:, None]
     nodes, weights = np.polynomial.legendre.leggauss(12)
-    omega = c + 1j * (lo[:, None] + half * (nodes + 1.0))
-    # one series call over (contour nodes x distinct d2), contracted with the summed row
-    mvals = _mellin_mode_multiplier(d2, omega.reshape(-1, 1), params, c0, beta) @ weight
-    vals = mvals.reshape(omega.shape) * t ** (-omega)
-    total = np.sum(half * weights * vals)
-    edge_mag = float(np.max(np.abs(vals[[0, -1]])))
-    value = total / (2.0 * np.pi)
+    omega = (c + 1j * (lo[:, None] + half * (nodes + 1.0))).reshape(-1, 1)
+    # one series call over (contour nodes x distinct d2), each node times t^{-omega}
+    vals = _mellin_mode_multiplier(d2, omega, params, _damping_constant(spec, params), beta) * t ** (-omega)
+    # multipliers per d2: the contour sum, then the nodes of the first and the last panel
+    rows = np.vstack(((half * weights).reshape(1, -1) @ vals, vals[: nodes.size], vals[-nodes.size :]))
+    kernels = _delta_kernel(spec, rows[:, modes.reshape(spec.site_shape)])
+    at_site = kernels[(slice(None),) + tuple(int(k) % spec.N for k in site)]
+    value = at_site[0] / (2.0 * np.pi)
+    edge_mag = float(np.max(np.abs(at_site[1:])))
     decay = np.pi / (4.0 * params.hurst)
     tail = 2.0 * edge_mag / decay / (2.0 * np.pi)
     status = "ok" if tail <= _TAIL_TOL else "tail-warning"

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 __all__ = ["ModelParams"]
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Drift mu, diffusion sigma2 (>= 0), Hurst exponent in (0,1), damping p >= 0.
+    """Finite drift mu, diffusion sigma2 >= 0 and damping p >= 0, Hurst exponent in (0,1).
 
     ``p`` is the Gaussian-damping / subordination parameter of the
     Klein-Gordon problem; the Mellin-Barnes kernel routines additionally
@@ -22,9 +23,11 @@ class ModelParams:
     p: float = 0.0
 
     def __post_init__(self):
-        if self.sigma2 < 0.0:
-            raise ValueError("sigma2 must be >= 0")
+        if not -inf < self.mu < inf:
+            raise ValueError(f"mu must be finite, got {self.mu}")
+        if not 0.0 <= self.sigma2 < inf:
+            raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
         if not 0.0 < self.hurst < 1.0:
             raise ValueError("hurst must lie in (0, 1)")
-        if self.p < 0.0:
-            raise ValueError("p must be >= 0")
+        if not 0.0 <= self.p < inf:
+            raise ValueError(f"p must be finite and >= 0, got {self.p}")

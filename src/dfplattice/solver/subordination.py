@@ -17,7 +17,9 @@ with q = Q v^4, so the first pass already sees the steep rise of L_H near
 case.  Beyond Q the explicit e^{-p t^2} damping of the wave ansatz factors
 out, so a second pass integrates only the Laplace weight over [Q, inf).
 (One pass over [0, inf) missed by 6.5e-6 at sigma2 = 1e-4, H = 0.85: the
-mapped tail is singular at its end.)  A pass that does not converge raises
+mapped tail is singular at its end.)  The head stops at quad_tol times the
+sup of the left side and the tail at 1e-5 quad_tol e^{-c t^{2H}}, so both
+scale with the identity's own size; a pass that does not converge raises
 QuadratureError.  Modewise statement: identical with c replaced by
 sigma2 d2(xi)/2 per momentum node; the Clifford factor of the mode function
 is p-independent, so every mode reduces to the Laplace transform of the Levy
@@ -35,7 +37,8 @@ from ..lattice import Field
 from ..operators import symbol_tables
 from ..specfun import levy_laplace, levy_pdf
 from ..spectral import MomentumField, dft_forward
-from .evolution import klein_gordon_evolve
+from .evolution import _require_time, klein_gordon_evolve
+from .kernels import _damping_constant
 from .params import ModelParams
 
 __all__ = [
@@ -77,13 +80,13 @@ def levy_subordination_check(
     phi0: Field, t: float, params: ModelParams, quad_tol: float = 1e-7
 ) -> Tuple[Field, Field]:
     """(lhs, rhs) fields of the sitewise subordination identity."""
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
+    _require_time(t)
     spec = phi0.spec
     H = params.hurst
-    c = spec.n * params.sigma2 / spec.h**2
+    c = _damping_constant(spec, params)
     psi0 = klein_gordon_evolve(phi0, t, 0.0, params)
-    lhs = np.exp(-c * t ** (2.0 * H)) * psi0
+    damp = np.exp(-c * t ** (2.0 * H))
+    lhs = damp * psi0
     if c == 0.0:
         # the Levy weight integrates to 1 against a p-independent solution
         return lhs, psi0
@@ -99,14 +102,14 @@ def levy_subordination_check(
         vals = klein_gordon_evolve(phi0, t, scale * q, params) * weight.reshape(node_shape)
         return np.stack((vals.real, vals.imag), axis=1)
 
-    ref = max(psi0.sup_norm(), 1.0)
     head = _cubature(
-        integrand, 0.0, 1.0, "field", atol=quad_tol * ref, rtol=0.0, max_subdivisions=_HEAD_SUBDIVISIONS
+        integrand, 0.0, 1.0, "field", atol=quad_tol * lhs.sup_norm(), rtol=0.0,
+        max_subdivisions=_HEAD_SUBDIVISIONS,
     )
     # beyond Q the wave ansatz's explicit e^{-p t^2} damping factors out
     tail_weight = _cubature(
         lambda x: (np.exp(-s * x[:, 0]) * levy_pdf(H, x[:, 0]))[:, None], Q, np.inf, "tail weight",
-        atol=1e-12, rtol=1e-10, max_subdivisions=_TAIL_SUBDIVISIONS,
+        atol=1e-5 * quad_tol * damp, rtol=1e-10, max_subdivisions=_TAIL_SUBDIVISIONS,
     )[0]
     rhs = Field(spec, head[0] + 1j * head[1] + tail_weight * psi0.values)
     return lhs, rhs
@@ -116,8 +119,7 @@ def levy_subordination_modewise(
     phi0: Field, t: float, params: ModelParams
 ) -> Tuple[MomentumField, MomentumField]:
     """(lhs, rhs) momentum fields of the modewise subordination identity."""
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
+    _require_time(t)
     spec = phi0.spec
     H = params.hurst
     tab = symbol_tables(spec)

@@ -311,6 +311,19 @@ def test_numeric_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [["evolve", "--t", "nan"], ["evolve", "--t", "inf"], ["kernel", "--t", "nan", "--beta", "0"],
+     ["evolve", "--t", "1", "--mu", "nan"], ["evolve", "--t", "1", "--sigma2", "nan"]],
+    ids=["evolve-t-nan", "evolve-t-inf", "kernel-t-nan", "evolve-mu-nan", "evolve-sigma2-nan"],
+)
+def test_non_finite_input_exit_code(capsys, args):
+    code, out, err = run_cli(args + ["--points", "8"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize(
     "row",
     ["-1,0,1.0,0.0", "8,0,1.0,0.0", "3,4,1.0,0.0", "0,0,2.0,0.0", "1,0,1.0,0.0,9", "1,0"],
     ids=["site-1", "site-N", "mask-4^n", "duplicate", "extra-column", "short"],

@@ -121,6 +121,15 @@ def test_multiplier_tables_shape_and_values(n, N, h, alpha):
         assert dm.mv(mode).isclose(dirac_symbol(xi, spec), tol=1e-14)
 
 
+@pytest.mark.parametrize("h", [1.0, 0.35])
+@pytest.mark.parametrize("N", [4, 6, 8])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_wilson_limit_cosine_coefficient_vanishes(n, N, h):
+    # at alpha = 1/2 the e_{n+j} coefficient cos(alpha h xi) - cos((1-alpha) h xi) is exactly 0
+    tab = symbol_tables(GridSpec(n, h, Fraction(1, 2), N))
+    assert all(np.all(c == 0.0) for c in tab.vec_cos)
+
+
 def test_dirac_symbol_is_self_dagger():
     spec = GridSpec(2, 0.7, Fraction(1, 3), 6)
     for mode in ((-2, -1), (0, 1), (3, 2)):

@@ -246,6 +246,25 @@ def test_subordination_unconverged_cubature_raises():
         levy_subordination_check(delta_h(SPEC16), 0.8, pr, quad_tol=1e-30)
 
 
+@pytest.mark.parametrize(
+    "n, N, t, sigma2, hurst", [(2, 8, 1.297, 2.45, 0.571), (2, 4, 1.967, 2.49, 0.646)], ids=["2d-N8", "2d-N4"]
+)
+def test_subordination_sitewise_is_relative_under_tiny_damping(n, N, t, sigma2, hurst):
+    # e^{-c t^{2H}} is about 1e-12 and 1e-21: an absolute head tolerance missed by 0.89 and 3.1e-2
+    d = delta_h(GridSpec(n, 0.5, Fraction(1, 4), N))
+    try:
+        lhs, rhs = levy_subordination_check(d, t, ModelParams(1.0, sigma2, hurst))
+    except QuadratureError:
+        return
+    assert lhs.sup_diff(rhs) / lhs.sup_norm() <= 1e-5
+
+
+def test_subordination_zero_field_is_exact():
+    zero = Field(SPEC16, np.zeros((SPEC16.nblades,) + SPEC16.site_shape))
+    lhs, rhs = levy_subordination_check(zero, 0.8, PARAMS)
+    assert lhs.sup_norm() == rhs.sup_norm() == 0.0
+
+
 def test_subordination_degenerate_diffusion():
     # sigma2 = 0 collapses both sides to the undamped wave solution
     pr = ModelParams(mu=1.0, sigma2=0.0, hurst=0.7)
@@ -335,6 +354,25 @@ def test_mellin_barnes_rejects_bad_arguments(name, value):
         mellin_barnes_kernel((0,), args.pop("t"), SPEC16, ModelParams(1.0, 1.0, 0.8), 0, **args)
 
 
+@pytest.mark.parametrize("beta", [0, 1])
+@pytest.mark.parametrize(
+    "spec, site",
+    [(SPEC16, (5,)), (SPEC16, (11,)), (GridSpec(2, 1.0, Fraction(1, 4), 8), (3, 1)), (GridSpec(2, 1.0, Fraction(1, 4), 8), (7, 6))],
+    ids=["1d-5", "1d-11", "2d-3-1", "2d-7-6"],
+)
+def test_mellin_barnes_off_origin_sites_match_trig_route(spec, site, beta):
+    pr = ModelParams(mu=1.0, sigma2=1.0, hurst=0.8)
+    direct = kg_kernel(spec, 0.5, pr, beta, "trig").values[(0,) + site]
+    res = mellin_barnes_kernel(site, 0.5, spec, pr, beta, T=40.0)
+    assert abs(res.value - direct) <= 1e-13
+    assert res.status == "ok"
+
+
+def test_mellin_barnes_site_wraps_periodically():
+    pr = ModelParams(mu=1.0, sigma2=1.0, hurst=0.8)
+    assert mellin_barnes_kernel((-1,), 0.5, SPEC16, pr, 0) == mellin_barnes_kernel((15,), 0.5, SPEC16, pr, 0)
+
+
 def test_mellin_barnes_sums_the_contour_in_one_series_call(monkeypatch):
     from dfplattice.solver import kernels
 
@@ -401,6 +439,46 @@ def test_wilson_sigma_half_is_removable():
         wilson_diffusion_coefficient(0.5)
     # continuity toward the limit value 1
     assert wilson_diffusion_coefficient(0.5 + 1e-7) == pytest.approx(1.0, abs=1e-5)
+
+
+def test_wilson_sigma_is_accurate_next_to_half():
+    # both closed forms cancel 0/0 at H = 1/2, where the slope of sigma2(H) is 2 euler_gamma - 2
+    near = [0.5 + sign * 10.0**-e for e in range(3, 17) for sign in (-1.0, 1.0)]
+    for toward in (0.0, 1.0):
+        H = 0.5
+        for _ in range(4):
+            H = float(np.nextafter(H, toward))
+            near.append(H)
+    for H in near:
+        assert abs(wilson_diffusion_coefficient(H) - 1.0) <= abs(H - 0.5) + 4e-16
+
+
+@given(st.floats(1e-6, 1.0 - 1e-6).filter(lambda H: H != 0.5))
+def test_wilson_sigma_positive_off_half(H):
+    assert wilson_diffusion_coefficient(H) > 0.0
+
+
+@pytest.mark.parametrize("field", ["mu", "sigma2", "p"])
+@pytest.mark.parametrize("value", [_NAN, _INF, -_INF])
+def test_model_params_reject_non_finite(field, value):
+    kwargs = dict(mu=1.0, sigma2=1.0, hurst=0.7, p=0.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ModelParams(**kwargs)
+
+
+@pytest.mark.parametrize("t", [_NAN, _INF])
+def test_solvers_reject_non_finite_time(t):
+    calls = [
+        lambda: dfp_evolve(delta_h(SPEC16), t, PARAMS),
+        lambda: dfp_kernel(SPEC16, t, PARAMS),
+        lambda: klein_gordon_evolve(delta_h(SPEC16), t, 0.0, PARAMS),
+        lambda: heat_kernel(SPEC16, t),
+        lambda: heat_kernel(SPEC16, t, "bessel"),
+    ] + [lambda route=route, beta=beta: kg_kernel(SPEC16, t, PARAMS, beta, route) for route in ("trig", "wright") for beta in (0, 1)]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be finite"):
+            call()
 
 
 def test_model_params_validation():
