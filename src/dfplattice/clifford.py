@@ -23,7 +23,9 @@ tr(E_m^dagger P) / 2^n.  A field product is then one 2^n x 2^n matmul per
 site between two basis changes; the matrices stay private to this module and
 fields stay blade-major.  The pairing sum_x a(x)^dagger b(x) needs no
 per-site product at all: it is the blade Gram matrix over sites, scattered
-through the Cayley table.
+through the Cayley table.  That table, :func:`product_table`, is the one
+source of blade signs: the generator and conjugation signs are read from it,
+and Multivector products scatter their blade pairs through it as well.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "geometric_product_arrays",
     "generator_tables",
     "live_blades",
-    "metric_sign",
     "num_blades",
     "product_table",
     "sesquilinear_arrays",
@@ -63,11 +64,6 @@ def num_blades(n: int) -> int:
     return 1 << (2 * n)
 
 
-def metric_sign(gen: int, n: int) -> int:
-    """Square of 0-based generator ``gen``: -1 for the first n, +1 for the rest."""
-    return -1 if gen < n else 1
-
-
 def generator_mask(j: int, n: int) -> int:
     """Bitmask of generator ``j`` (1-based, 1 <= j <= 2n)."""
     if not 1 <= j <= 2 * n:
@@ -75,71 +71,62 @@ def generator_mask(j: int, n: int) -> int:
     return 1 << (j - 1)
 
 
-def blade_product(mask_a: int, mask_b: int, n: int) -> Tuple[int, int]:
-    """Product of two basis blades: result mask and sign.
-
-    The sign is (-1)^swaps from interleaving the two ascending generator
-    sequences, times one metric factor per repeated generator.
-    """
-    swaps = 0
-    x = mask_a >> 1
-    while x:
-        swaps += (x & mask_b).bit_count()
-        x >>= 1
-    # repeated generators below index n square to -1
-    neg = (mask_a & mask_b & ((1 << n) - 1)).bit_count()
-    sign = -1 if (swaps + neg) & 1 else 1
-    return mask_a ^ mask_b, sign
-
-
-def dagger_sign(mask: int, n: int) -> int:
-    """Sign of blade conjugation: reversal sign times per-generator signs."""
-    r = mask.bit_count()
-    r1 = (mask & ((1 << n) - 1)).bit_count()
-    return -1 if (r1 + (r * (r - 1)) // 2) & 1 else 1
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @lru_cache(maxsize=None)
 def product_table(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense Cayley data: (result_mask[i, j], sign[i, j]) over all blade pairs."""
-    nb = num_blades(n)
-    masks = np.zeros((nb, nb), dtype=np.intp)
-    signs = np.zeros((nb, nb), dtype=np.int8)
-    for i in range(nb):
-        for j in range(nb):
-            m, s = blade_product(i, j, n)
-            masks[i, j] = m
-            signs[i, j] = s
-    masks.setflags(write=False)
-    signs.setflags(write=False)
-    return masks, signs
+    """Dense Cayley data: (result_mask[i, j], sign[i, j]) over all blade pairs.
+
+    Blade i times blade j is sign[i, j] * blade(i ^ j).  The sign is
+    (-1)^swaps from interleaving the two ascending generator sequences (each
+    generator of i passes the generators of j below it), times -1 per
+    repeated generator below index n; both counts are sums of the 2n shifted bits.
+    """
+    m = np.arange(num_blades(n), dtype=np.intp)
+    bits = m[:, None] >> np.arange(2 * n) & 1
+    below = np.cumsum(bits, axis=1) - bits
+    parity = (bits @ below.T + bits[:, :n] @ bits[:, :n].T) & 1
+    return _frozen(m[:, None] ^ m[None, :]), _frozen((1 - 2 * parity).astype(np.int8))
 
 
 @lru_cache(maxsize=None)
 def dagger_signs(n: int) -> np.ndarray:
-    out = np.array([dagger_sign(m, n) for m in range(num_blades(n))], dtype=np.int8)
-    out.setflags(write=False)
-    return out
+    """Sign of blade conjugation per mask: E_m^dagger E_m = 1, so it is the sign of
+    E_m E_m, the diagonal of :func:`product_table`."""
+    return _frozen(product_table(n)[1].diagonal().copy())
 
 
 @lru_cache(maxsize=None)
 def generator_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Left multiplication by each generator on the blade basis.
+    """Left multiplication by each generator: the (2n, 4^n) rows of :func:`product_table`
+    at the generator masks, so generator g (0-based) times blade m is
+    ``signs[g, m] * blade(masks[g, m])``."""
+    gens = 1 << np.arange(2 * n)
+    return tuple(_frozen(table[gens]) for table in product_table(n))
 
-    Returns ``(masks, signs)`` of shape (2n, 4^n): generator g (0-based)
-    times blade m equals ``signs[g, m] * blade(masks[g, m])``.
-    """
-    nb = num_blades(n)
-    masks = np.zeros((2 * n, nb), dtype=np.intp)
-    signs = np.zeros((2 * n, nb), dtype=np.int8)
-    for g in range(2 * n):
-        for m in range(nb):
-            mm, s = blade_product(1 << g, m, n)
-            masks[g, m] = mm
-            signs[g, m] = s
-    masks.setflags(write=False)
-    signs.setflags(write=False)
-    return masks, signs
+
+def blade_product(mask_a: int, mask_b: int, n: int) -> Tuple[int, int]:
+    """Product of two basis blades: result mask and sign, read from :func:`product_table`."""
+    masks, signs = product_table(n)
+    return int(masks[mask_a, mask_b]), int(signs[mask_a, mask_b])
+
+
+def dagger_sign(mask: int, n: int) -> int:
+    """Sign of blade conjugation, read from :func:`dagger_signs`."""
+    return int(dagger_signs(n)[mask])
+
+
+def _cayley_sum(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Blade vector of sum_{i,j} sign[i, j] pairs[i, j] blade(i ^ j), the (4^n, 4^n)
+    blade-pair matrix scattered in row-major order; signs apply by negation, exactly."""
+    masks, signs = product_table(n)
+    terms = np.where(signs < 0, -pairs, pairs).ravel()
+    out = np.empty(num_blades(n), dtype=complex)
+    out.real, out.imag = (np.bincount(masks.ravel(), part, out.size) for part in (terms.real, terms.imag))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -162,12 +149,10 @@ def blade_matrices(n: int) -> np.ndarray:
         for p in (pauli_x, pauli_y)
     ]
     gens = [1j * gm if g < n else gm for g, gm in enumerate(gammas)]
-    out = np.array([
+    return _frozen(np.array([
         reduce(np.matmul, [gens[g] for g in range(2 * n) if m >> g & 1], np.eye(1 << n, dtype=complex))
         for m in range(num_blades(n))
-    ])
-    out.setflags(write=False)
-    return out
+    ]))
 
 
 def _require_blade_axis(a: np.ndarray, n: int) -> None:
@@ -228,10 +213,7 @@ def sesquilinear_arrays(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     _require_blade_axis(b, n)
     nb = num_blades(n)
     gram = np.conj(a.reshape(nb, -1)) @ b.reshape(nb, -1).T
-    masks, signs = product_table(n)
-    out = np.zeros(nb, dtype=complex)
-    np.add.at(out, masks, dagger_signs(n)[:, None] * signs * gram)
-    return out
+    return _cayley_sum(dagger_signs(n)[:, None] * gram, n)
 
 
 def dagger_arrays(a: np.ndarray, n: int) -> np.ndarray:
@@ -326,19 +308,19 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             self._require_same_dim(other)
-            out: Dict[int, complex] = {}
-            for ma, ca in self._coeffs.items():
-                for mb, cb in other._coeffs.items():
-                    m, s = blade_product(ma, mb, self.dim)
-                    out[m] = out.get(m, 0.0) + s * ca * cb
-            return Multivector(out, self.dim)
+            a, b = self.to_array(), other.to_array()
+            ia, ib = a.nonzero()[0], b.nonzero()[0]
+            pairs = np.zeros((a.size, b.size), dtype=complex)
+            # nonzero blades only, so an inf or nan coefficient reaches just the blades it
+            # multiplies into; like Python complex arithmetic, that raises no warning
+            with np.errstate(invalid="ignore", over="ignore"):
+                pairs[np.ix_(ia, ib)] = np.multiply.outer(a[ia], b[ib])
+                return Multivector.from_array(_cayley_sum(pairs, self.dim), self.dim)
         return Multivector({m: c * other for m, c in self._coeffs.items()}, self.dim)
 
     def dagger(self) -> "Multivector":
-        n = self.dim
-        return Multivector(
-            {m: dagger_sign(m, n) * np.conj(c) for m, c in self._coeffs.items()}, n
-        )
+        sign = dagger_signs(self.dim)
+        return Multivector({m: sign[m] * np.conj(c) for m, c in self._coeffs.items()}, self.dim)
 
     def norm(self) -> float:
         """sqrt of the scalar part of a^dagger a (checked real nonnegative)."""

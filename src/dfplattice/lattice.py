@@ -105,11 +105,12 @@ class GridSpec:
         return np.meshgrid(*([self.xi_axis()] * self.n), indexing="ij")
 
 
-class Field:
-    """A Multivector per lattice site, stored blade-major.
+class _GridData:
+    """Body of site and momentum fields: a Multivector per grid point, blade-major.
 
     ``values`` has shape (4^n,) + (N,)*n and is frozen after construction;
-    every operation returns a new Field.
+    every operation returns a new value of the same class.  Operands must share
+    the class (TypeError otherwise: site and momentum data never mix) and the spec.
     """
 
     __slots__ = ("spec", "values")
@@ -118,16 +119,52 @@ class Field:
         values = np.array(values, dtype=complex, copy=_copy)
         expected = (spec.nblades,) + spec.site_shape
         if values.shape != expected:
-            raise ValueError(f"field values shape {values.shape} != {expected}")
+            raise ValueError(f"{type(self).__name__} values shape {values.shape} != {expected}")
         values.setflags(write=False)
         self.spec = spec
         self.values = values
 
     @classmethod
-    def from_blade_array(cls, spec: GridSpec, mask: int, arr: np.ndarray) -> "Field":
+    def from_blade_array(cls, spec: GridSpec, mask: int, arr: np.ndarray):
         vals = np.zeros((spec.nblades,) + spec.site_shape, dtype=complex)
         vals[mask] = arr
         return cls(spec, vals, _copy=False)
+
+    def _require_same_spec(self, other: "_GridData") -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine a {type(self).__name__} with a {type(other).__name__}")
+        if self.spec != other.spec:
+            raise ValueError("grid spec mismatch")
+
+    def __add__(self, other):
+        self._require_same_spec(other)
+        return type(self)(self.spec, self.values + other.values, _copy=False)
+
+    def __sub__(self, other):
+        self._require_same_spec(other)
+        return type(self)(self.spec, self.values - other.values, _copy=False)
+
+    def __rmul__(self, scalar: complex):
+        return type(self)(self.spec, scalar * self.values, _copy=False)
+
+    def sup_norm(self) -> float:
+        return float(np.max(np.abs(self.values)))
+
+    def sup_diff(self, other) -> float:
+        self._require_same_spec(other)
+        return float(np.max(np.abs(self.values - other.values)))
+
+    def _pairing(self, other, weight: float) -> Multivector:
+        """sum over grid points of weight * self^dagger other."""
+        self._require_same_spec(other)
+        n = self.spec.n
+        return Multivector.from_array(sesquilinear_arrays(self.values, other.values, n) * weight, n)
+
+
+class Field(_GridData):
+    """A Multivector per lattice site, stored blade-major; see :class:`_GridData`."""
+
+    __slots__ = ()
 
     def mv(self, site: Tuple[int, ...]) -> Multivector:
         """The Multivector at one site (multi-index over {0..N-1}^n)."""
@@ -141,28 +178,6 @@ class Field:
             vals = np.roll(vals, off, axis=ax)
         return Field(self.spec, vals, _copy=False)
 
-    def _require_same_spec(self, other: "Field") -> None:
-        if self.spec != other.spec:
-            raise ValueError("grid spec mismatch")
-
-    def __add__(self, other: "Field") -> "Field":
-        self._require_same_spec(other)
-        return Field(self.spec, self.values + other.values, _copy=False)
-
-    def __sub__(self, other: "Field") -> "Field":
-        self._require_same_spec(other)
-        return Field(self.spec, self.values - other.values, _copy=False)
-
-    def __rmul__(self, scalar: complex) -> "Field":
-        return Field(self.spec, scalar * self.values, _copy=False)
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def sup_diff(self, other: "Field") -> float:
-        self._require_same_spec(other)
-        return float(np.max(np.abs(self.values - other.values)))
-
 
 def delta_h(spec: GridSpec) -> Field:
     """Discrete delta: scalar value 1/h^n at the origin, zero elsewhere."""
@@ -173,10 +188,7 @@ def delta_h(spec: GridSpec) -> Field:
 
 def sesquilinear(f: Field, g: Field) -> Multivector:
     """Clifford-valued pairing sum_x h^n f(x)^dagger g(x)."""
-    f._require_same_spec(g)
-    n = f.spec.n
-    vec = sesquilinear_arrays(f.values, g.values, n) * f.spec.cell_volume
-    return Multivector.from_array(vec, n)
+    return f._pairing(g, f.spec.cell_volume)
 
 
 def mass(f: Field) -> Multivector:

@@ -19,7 +19,8 @@ out, so a second pass integrates only the Laplace weight over [Q, inf).
 (One pass over [0, inf) missed by 6.5e-6 at sigma2 = 1e-4, H = 0.85: the
 mapped tail is singular at its end.)  The head stops at quad_tol times the
 sup of the left side and the tail at 1e-5 quad_tol e^{-c t^{2H}}, so both
-scale with the identity's own size; a pass that does not converge raises
+scale with the identity's own size; a pass that does not converge, or whose
+error is not below its estimate (its nodes missed a narrow peak), raises
 QuadratureError.  Modewise statement: identical with c replaced by
 sigma2 d2(xi)/2 per momentum node; the Clifford factor of the mode function
 is p-independent, so every mode reduces to the Laplace transform of the Levy
@@ -64,15 +65,19 @@ def _head_cutoff(s: float, hurst: float) -> float:
 
 
 def _cubature(f, a: float, b: float, what: str, **options):
-    """One GK21 ``cubature`` pass over [a, b]; raises QuadratureError unless it converged."""
+    """One GK21 ``cubature`` pass over [a, b]; raises QuadratureError unless it converged
+    to an estimate larger than its error."""
     from scipy.integrate import cubature
 
     res = cubature(f, [a], [b], rule="gk21", **options)
+    err, size = float(np.max(res.error)), float(np.max(np.abs(res.estimate)))
     if res.status != "converged":
         raise QuadratureError(
             f"{what} cubature stopped after {res.subdivisions} subdivisions "
-            f"at error {float(np.max(res.error)):.3e} (atol {res.atol:.3e}, rtol {res.rtol:.3e})"
+            f"at error {err:.3e} (atol {res.atol:.3e}, rtol {res.rtol:.3e})"
         )
+    if 0.0 < err >= size:  # the nodes missed the integrand: no digit of the estimate is known
+        raise QuadratureError(f"{what} cubature error {err:.3e} is not below its largest |estimate| {size:.3e}")
     return res.estimate
 
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clifford import Multivector, geometric_product_arrays, live_blades, sesquilinear_arrays
-from .lattice import Field, GridSpec
+from .clifford import Multivector, geometric_product_arrays, live_blades
+from .lattice import Field, GridSpec, _GridData
 
 __all__ = [
     "MomentumField",
@@ -40,49 +40,15 @@ __all__ = [
 CONVOLUTION_CONSTANT_POWER = 0.5
 
 
-class MomentumField:
+class MomentumField(_GridData):
     """A Multivector per momentum node, blade-major, nodes in FFT order (mode k at index k % N)."""
 
-    __slots__ = ("spec", "values")
-
-    def __init__(self, spec: GridSpec, values: np.ndarray, _copy: bool = True):
-        values = np.array(values, dtype=complex, copy=_copy)
-        expected = (spec.nblades,) + spec.site_shape
-        if values.shape != expected:
-            raise ValueError(f"momentum values shape {values.shape} != {expected}")
-        values.setflags(write=False)
-        self.spec = spec
-        self.values = values
-
-    @classmethod
-    def from_blade_array(cls, spec: GridSpec, mask: int, arr: np.ndarray) -> "MomentumField":
-        vals = np.zeros((spec.nblades,) + spec.site_shape, dtype=complex)
-        vals[mask] = arr
-        return cls(spec, vals, _copy=False)
+    __slots__ = ()
 
     def mv(self, mode: tuple) -> Multivector:
         """Multivector at the node with signed mode numbers ``mode``, each in (-N/2, N/2]."""
         idx = (slice(None),) + tuple(self.spec.mode_index(k) for k in mode)
         return Multivector.from_array(self.values[idx], self.spec.n)
-
-    def _require_same_spec(self, other: "MomentumField") -> None:
-        if self.spec != other.spec:
-            raise ValueError("grid spec mismatch")
-
-    def __add__(self, other):
-        self._require_same_spec(other)
-        return MomentumField(self.spec, self.values + other.values, _copy=False)
-
-    def __sub__(self, other):
-        self._require_same_spec(other)
-        return MomentumField(self.spec, self.values - other.values, _copy=False)
-
-    def __rmul__(self, scalar: complex) -> "MomentumField":
-        return MomentumField(self.spec, scalar * self.values, _copy=False)
-
-    def sup_diff(self, other: "MomentumField") -> float:
-        self._require_same_spec(other)
-        return float(np.max(np.abs(self.values - other.values)))
 
 
 def _transform_rows(rows: np.ndarray, spec: GridSpec, forward: bool) -> np.ndarray:
@@ -133,10 +99,7 @@ def dft_inverse(F: MomentumField) -> Field:
 
 def momentum_sesquilinear(F: MomentumField, G: MomentumField) -> Multivector:
     """Zone pairing sum_k w F(xi_k)^dagger G(xi_k) (weight w per node)."""
-    F._require_same_spec(G)
-    n = F.spec.n
-    vec = sesquilinear_arrays(F.values, G.values, n) * F.spec.momentum_weight
-    return Multivector.from_array(vec, n)
+    return F._pairing(G, F.spec.momentum_weight)
 
 
 def convolve(K: Field, f: Field) -> Field:

@@ -1,15 +1,16 @@
 """Independent reference implementations used only by the tests.
 
 Each oracle re-derives a library operation through a different algorithm:
-blade products via sequence sorting instead of bitmask popcounts, transforms
-via explicit O(N^2) phase sums instead of FFTs (and via one FFT of every
-blade, dead blades included, instead of the live ones), convolution via the literal
-double loop, the fractional Dirac operator via finite-difference
-stencils on a refined grid instead of its Fourier symbol, Fox-Wright
-series via literal Gamma products instead of term ratios or log-Gammas, the
-Levy density at index 1/2 via its closed form instead of the series or the
-Zolotarev integral, and field rows via a Python sort of every nonzero entry
-instead of the layout.
+blade products and conjugation signs via sequence sorting instead of the
+bit-arithmetic Cayley table, transforms via explicit O(N^2) phase sums
+instead of FFTs (and via one FFT of every blade, dead blades included,
+instead of the live ones), convolution via the literal double loop, the
+fractional Dirac operator via finite-difference stencils on a refined grid
+instead of its Fourier symbol, Fox-Wright series via literal Gamma
+products instead of term ratios or log-Gammas, the Levy density at index
+1/2 via its closed form instead of the series or the Zolotarev integral,
+and field rows via a Python sort of every nonzero entry instead of the
+layout.
 """
 
 from __future__ import annotations
@@ -55,6 +56,20 @@ def blade_product_sorting(mask_a: int, mask_b: int, n: int) -> Tuple[int, int]:
     for j in out:
         mask |= 1 << j
     return mask, sign
+
+
+def dagger_sign_reversal(mask: int, n: int) -> int:
+    """Blade conjugation sign by literally reversing the generator sequence:
+    one sign per transposition that sorts the reversed sequence back, times
+    -1 per generator squaring to -1 (those are anti-Hermitian)."""
+    seq = [j for j in range(2 * n) if mask >> j & 1][::-1]
+    sign = -1 if sum(j < n for j in seq) % 2 else 1
+    for i in range(len(seq)):
+        for k in range(len(seq) - 1 - i):
+            if seq[k] > seq[k + 1]:
+                seq[k], seq[k + 1] = seq[k + 1], seq[k]
+                sign = -sign
+    return sign
 
 
 def dense_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:

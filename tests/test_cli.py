@@ -350,6 +350,30 @@ def test_input_csv_empty_file_exit_code(tmp_path, capsys):
     assert "empty CSV" in err
 
 
+@pytest.mark.parametrize("command", ["evolve", "kg", "subordinate"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_input_csv_non_finite_exit_code(tmp_path, capsys, command, value, part):
+    path = tmp_path / "in.csv"
+    re, im = (value, "0.0") if part == "re" else ("0.5", value)
+    path.write_text(f"k1,mask,re,im\n0,0,1.0,0.0\n3,2,{re},{im}\n")
+    code, out, err = run_cli(
+        [command, "--dim", "1", "--points", "8", "--t", "0", "--input", str(path)], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert f"{path}: blade 2 at site 3 has the non-finite value" in err
+
+
+def test_subordinate_long_time_miss_exit_code(capsys):
+    code, out, err = run_cli(
+        ["subordinate", "--points", "16", "--sigma2", "3", "--hurst", "0.7", "--t", "25"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "is not below its largest |estimate|" in err
+
+
 def test_manifest_names_input_only_when_read(tmp_path, capsys):
     src = tmp_path / "in.csv"
     src.write_text("k1,mask,re,im\n0,0,1.0,0.0\n")

@@ -14,7 +14,7 @@ from dfplattice.clifford import (
     num_blades,
 )
 
-from oracles import blade_product_sorting, dense_product, mv_product_oracle
+from oracles import blade_product_sorting, dagger_sign_reversal, dense_product, mv_product_oracle
 
 
 def e(j, dim):
@@ -95,6 +95,50 @@ def test_blade_product_signs_match_oracle(dim):
     for i in range(nb):
         for j in range(nb):
             assert blade_product(i, j, dim) == blade_product_sorting(i, j, dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cayley_tables_match_the_sorting_oracles(dim):
+    nb = num_blades(dim)
+    masks, signs = clifford.product_table(dim)
+    expect = [[blade_product_sorting(i, j, dim) for j in range(nb)] for i in range(nb)]
+    assert masks.shape == signs.shape == (nb, nb)
+    assert np.array_equal(masks, [[m for m, _ in row] for row in expect])
+    assert np.array_equal(signs, [[s for _, s in row] for row in expect])
+    gmasks, gsigns = clifford.generator_tables(dim)
+    assert gmasks.shape == gsigns.shape == (2 * dim, nb)
+    for g in range(2 * dim):
+        assert [(int(m), int(s)) for m, s in zip(gmasks[g], gsigns[g])] == expect[1 << g]
+    assert clifford.dagger_signs(dim).tolist() == [dagger_sign_reversal(m, dim) for m in range(nb)]
+    tables = (masks, signs, gmasks, gsigns, clifford.dagger_signs(dim), blade_matrices(dim))
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_single_blade_products_match_the_sorting_oracle_bit_for_bit(dim):
+    rng = np.random.default_rng(110 + dim)
+    nb = num_blades(dim)
+    for i in range(nb):
+        for j in range(nb):
+            ca, cb = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
+            a, b = Multivector.blade(i, dim, ca), Multivector.blade(j, dim, cb)
+            expect = dense_product(a.to_array(), b.to_array(), dim)
+            assert (a * b).to_array().tobytes() == expect.tobytes()
+
+
+def test_inf_coefficient_times_a_blade_stays_on_one_blade():
+    # the sign is applied by negation: the real part stays infinite, and no
+    # other blade is touched (a dense pair matrix would spread 0 * inf = nan)
+    dim = 2
+    for i, j in ((0, 0b0110), (0b0001, 0b0001), (0b1010, 0b0101)):
+        mask, sign = blade_product_sorting(i, j, dim)
+        for prod in (Multivector.blade(i, dim, np.inf) * Multivector.blade(j, dim),
+                     Multivector.blade(i, dim) * Multivector.blade(j, dim, np.inf)):
+            assert [m for m, _ in prod.items()] == [mask]
+            assert prod.coeff(mask).real == sign * np.inf
 
 
 def test_dirac_symbol_shaped_vectors_square_to_scalars():

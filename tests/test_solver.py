@@ -259,6 +259,21 @@ def test_subordination_sitewise_is_relative_under_tiny_damping(n, N, t, sigma2, 
     assert lhs.sup_diff(rhs) / lhs.sup_norm() <= 1e-5
 
 
+@pytest.mark.parametrize("t", [20.0, 25.0, 30.0])
+def test_subordination_sitewise_long_time_meets_or_raises(t):
+    # at t = 25 and 30 the head's first pass lands no node on the integrand's
+    # narrow peak and reports an error equal to its estimate: that must raise,
+    # while t = 20 resolves the peak
+    d = delta_h(SPEC16)
+    pr = ModelParams(1.0, 3.0, 0.7)
+    if t > 20.0:
+        with pytest.raises(QuadratureError, match="not below its largest"):
+            levy_subordination_check(d, t, pr)
+        return
+    lhs, rhs = levy_subordination_check(d, t, pr)
+    assert lhs.sup_diff(rhs) / lhs.sup_norm() <= 1e-13
+
+
 def test_subordination_zero_field_is_exact():
     zero = Field(SPEC16, np.zeros((SPEC16.nblades,) + SPEC16.site_shape))
     lhs, rhs = levy_subordination_check(zero, 0.8, PARAMS)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfplattice.lattice import Field, GridSpec, delta_h
+from dfplattice.lattice import Field, GridSpec, delta_h, sesquilinear
 from dfplattice.spectral import (
     MomentumField,
     convolve,
     dft_forward,
     dft_inverse,
+    momentum_sesquilinear,
     refine_field,
     restrict_field,
 )
@@ -29,6 +30,28 @@ def test_forward_delta_is_constant():
         expect = (2.0 * np.pi) ** (-spec.n / 2.0)
         assert np.allclose(F.values[0], expect, atol=1e-14)
         assert np.max(np.abs(F.values[1:])) == 0.0
+
+
+@pytest.mark.parametrize(
+    "combine",
+    [
+        lambda x, y: x + y,
+        lambda x, y: x - y,
+        lambda x, y: x.sup_diff(y),
+        lambda x, y: sesquilinear(x, y),
+        lambda x, y: momentum_sesquilinear(x, y),
+        lambda x, y: convolve(x, y),
+    ],
+    ids=["add", "sub", "sup_diff", "sesquilinear", "momentum_sesquilinear", "convolve"],
+)
+def test_site_and_momentum_data_never_mix(combine):
+    # one spec for both: only the class tells site data from momentum data
+    f = delta_h(GridSpec(1, 1.0, Fraction(1, 4), 8))
+    F = dft_forward(f)
+    assert not isinstance(F, Field) and not isinstance(f, MomentumField)
+    for x, y in ((f, F), (F, f)):
+        with pytest.raises(TypeError, match="cannot combine a (Momentum)?Field with a (Momentum)?Field"):
+            combine(x, y)
 
 
 def test_forward_all_ones_concentrates_at_zero_mode():
