@@ -32,7 +32,6 @@ __all__ = [
     "dirac_symbol",
     "laplacian_apply",
     "dirac_apply",
-    "apply_scalar_symbol",
     "apply_dirac_symbol_arrays",
     "laplacian_multiplier",
     "dirac_multiplier",
@@ -112,11 +111,6 @@ def symbol_tables(spec: GridSpec) -> SymbolTables:
     return SymbolTables(spec, d2, tuple(vsin), tuple(vcos))
 
 
-def apply_scalar_symbol(F: MomentumField, symbol: np.ndarray) -> MomentumField:
-    """Multiply every blade component by a scalar node function."""
-    return MomentumField(F.spec, F.values * symbol[None, ...], _copy=False)
-
-
 def _apply_dirac_rows(values: np.ndarray, spec: GridSpec, blades: np.ndarray, live: np.ndarray) -> np.ndarray:
     """z(xi) times blade rows: row r of ``values`` and of the result holds blade
     ``blades[r]`` (sorted).  Only the rows of the blades ``live`` are read, and
@@ -152,7 +146,7 @@ def laplacian_apply(f: Field, route: str = "stencil") -> Field:
         return Field(spec, out / spec.h**2, _copy=False)
     if route == "multiplier":
         F = dft_forward(f)
-        return dft_inverse(apply_scalar_symbol(F, -symbol_tables(spec).d2))
+        return dft_inverse(MomentumField(spec, F.values * -symbol_tables(spec).d2[None, ...], _copy=False))
     raise ValueError(f"unknown route {route!r}")
 
 

@@ -56,14 +56,11 @@ def trig_factors(d2: np.ndarray, mu: float, t: float):
 
 
 def _evolved_values(phi0: Field, scalar: np.ndarray, cos_part: np.ndarray, sinc_part: np.ndarray) -> np.ndarray:
-    """F^-1[ scalar * (cos + sinc * i z) * F phi0 ] shared by the solvers, per row of ``scalar``.
+    """F^-1[ scalar * (cos + sinc * i z) * F phi0 ] shared by the solvers; ``scalar`` is site-shaped.
 
-    ``scalar`` has a leading node axis; the result holds one field's values
-    per node.  The nodes share the forward transform and the Dirac apply,
-    and each node's rows transform on their own, so a node's values equal a
-    one-node call's bit for bit.  Only the blades the flow reaches are
-    computed: the live blades of ``phi0`` and their images under each
-    generator, since z(xi) is a vector.  Every other blade is exactly 0.
+    Only the blades the flow reaches are computed: the live blades of
+    ``phi0`` and their images under each generator, since z(xi) is a
+    vector.  Every other blade is exactly 0.
     """
     spec = phi0.spec
     live = live_blades(phi0.values)
@@ -74,14 +71,8 @@ def _evolved_values(phi0: Field, scalar: np.ndarray, cos_part: np.ndarray, sinc_
     rows = phi0.values if live.size == spec.nblades else phi0.values[live]
     F = _placed(_transform_rows(rows, spec, forward=True), live, blades)
     zF = _apply_dirac_rows(F, spec, blades, live)
-    flow = cos_part[None, ...] * F + 1j * sinc_part[None, ...] * zF
-    out = scalar[:, None, ...] * flow[None, ...]
-    out = _transform_rows(out.reshape((-1,) + spec.site_shape), spec, forward=False).reshape(out.shape)
-    if blades.size == spec.nblades:
-        return out
-    values = np.zeros((len(scalar),) + phi0.values.shape, dtype=complex)
-    values[:, blades] = out
-    return values
+    out = scalar[None, ...] * (cos_part[None, ...] * F + 1j * sinc_part[None, ...] * zF)
+    return _placed(_transform_rows(out, spec, forward=False), blades, np.arange(spec.nblades))
 
 
 def _delta_kernel(spec: GridSpec, mult: np.ndarray) -> np.ndarray:
@@ -132,7 +123,7 @@ def dfp_evolve(phi0: Field, t: float, params: ModelParams) -> Field:
     tab = symbol_tables(spec)
     gaussian = np.exp(-0.5 * params.sigma2 * t ** (2.0 * params.hurst) * tab.d2)
     cos_part, sinc_part = trig_factors(tab.d2, params.mu, t)
-    return Field(spec, _evolved_values(phi0, gaussian[None, ...], cos_part, sinc_part)[0], _copy=False)
+    return Field(spec, _evolved_values(phi0, gaussian, cos_part, sinc_part), _copy=False)
 
 
 def dfp_kernel(spec: GridSpec, t: float, params: ModelParams) -> Field:
@@ -140,28 +131,22 @@ def dfp_kernel(spec: GridSpec, t: float, params: ModelParams) -> Field:
     return dfp_evolve(delta_h(spec), t, params)
 
 
-def klein_gordon_evolve(phi0: Field, t: float, p, params: ModelParams):
+def klein_gordon_evolve(phi0: Field, t: float, p: float, params: ModelParams) -> Field:
     """Damped wave solution e^{-p t^2} (cos + sinc * i D) phi0.
 
     Solves  d_t^2 psi + 4 p t d_t psi + (2p + 4 p^2 t^2) psi = mu^2 Lap psi
-    with psi(0) = phi0 and d_t psi(0) = i mu D phi0.  A float ``p`` gives a
-    Field; an array ``p`` gives the values of one solution per element, shape
-    ``p.shape + phi0.values.shape``, each equal to the float call's bits.
+    with psi(0) = phi0 and d_t psi(0) = i mu D phi0.
     """
     _require_time(t)
-    nodes = np.asarray(p, dtype=float)
-    if not np.all(nodes >= 0.0):
+    if not p >= 0.0:
         raise ValueError("p must be >= 0")
     if t == 0.0:
-        return phi0 if nodes.ndim == 0 else np.broadcast_to(phi0.values, nodes.shape + phi0.values.shape).copy()
+        return phi0
     spec = phi0.spec
     tab = symbol_tables(spec)
-    damping = np.exp(-nodes.reshape(-1, *[1] * spec.n) * t * t) * np.ones_like(tab.d2)
+    damping = np.exp(-p * t * t) * np.ones_like(tab.d2)
     cos_part, sinc_part = trig_factors(tab.d2, params.mu, t)
-    values = _evolved_values(phi0, damping, cos_part, sinc_part)
-    if nodes.ndim == 0:
-        return Field(spec, values[0], _copy=False)
-    return values.reshape(nodes.shape + phi0.values.shape)
+    return Field(spec, _evolved_values(phi0, damping, cos_part, sinc_part), _copy=False)
 
 
 def _stability_radius(spec: GridSpec, params: ModelParams, t_start: float, t_end: float) -> float:

@@ -7,25 +7,23 @@ Sitewise statement: with c = n sigma2 / h^2,
         = int_0^inf psi(., t | p) c^{-1/H} L_H(p c^{-1/H}) dp
         = int_0^inf psi(., t | c^{1/H} q) L_H(q) dq        (p = c^{1/H} q)
 
-The right side is one scipy ``cubature`` pass (GK21, raw |K21 - G10|
-error estimate) over the head [0, Q], with Q grown until e^{-s Q} < 1e-8,
-s = c^{1/H} t^2.  Its field-valued integrand takes all the nodes of a pass
-at once and returns the stacked real and imaginary parts, one batched
-Klein-Gordon solve with the nodes on a leading axis.  The head runs in v
-with q = Q v^4, so the first pass already sees the steep rise of L_H near
-0; on [0, Q] itself both rules agreed on a value 1.7e-5 off on one drawn
-case.  Beyond Q the explicit e^{-p t^2} damping of the wave ansatz factors
-out, so a second pass integrates only the Laplace weight over [Q, inf).
+The wave ansatz gives psi(., t | p) = e^{-p t^2} psi(., t | 0), so the right
+side is the Laplace weight int_0^inf e^{-s q} L_H(q) dq, s = c^{1/H} t^2,
+times the one field psi(., t | 0).  The weight is two scipy ``cubature``
+passes (GK21, raw |K21 - G10| error estimate).  The head covers [0, Q], with
+Q grown until e^{-s Q} < 1e-8, and runs in v with q = Q v^4, so the first
+pass already sees the steep rise of L_H near 0; on [0, Q] itself both rules
+agreed on a value 1.7e-5 off on one drawn case.  The tail covers [Q, inf).
 (One pass over [0, inf) missed by 6.5e-6 at sigma2 = 1e-4, H = 0.85: the
-mapped tail is singular at its end.)  The head stops at quad_tol times the
-sup of the left side and the tail at 1e-5 quad_tol e^{-c t^{2H}}, so both
-scale with the identity's own size; a pass that does not converge, or whose
-error is not below its estimate (its nodes missed a narrow peak), raises
-QuadratureError.  Modewise statement: identical with c replaced by
-sigma2 d2(xi)/2 per momentum node; the Clifford factor of the mode function
-is p-independent, so every mode reduces to the Laplace transform of the Levy
-density, and :func:`levy_laplace` integrates all of them in one pass (the
-zero mode is exact).
+mapped tail is singular at its end.)  The head stops at quad_tol e^{-c t^{2H}}
+and the tail at 1e-5 quad_tol e^{-c t^{2H}}, so both scale with the
+identity's own size; a pass that does not converge, or whose error is not
+below its estimate (its nodes missed a narrow peak), raises QuadratureError.
+Modewise statement: identical with c replaced by sigma2 d2(xi)/2 per
+momentum node; the Clifford factor of the mode function is p-independent, so
+every mode reduces to the Laplace transform of the Levy density, and
+:func:`levy_laplace` integrates all of them in one pass (the zero mode is
+exact).
 """
 
 from __future__ import annotations
@@ -95,28 +93,22 @@ def levy_subordination_check(
     if c == 0.0:
         # the Levy weight integrates to 1 against a p-independent solution
         return lhs, psi0
-    scale = c ** (1.0 / H)
-    s = scale * t * t
+    s = c ** (1.0 / H) * t * t
     Q = _head_cutoff(s, H)
-    node_shape = (-1,) + (1,) * psi0.values.ndim
 
-    def integrand(x: np.ndarray) -> np.ndarray:
+    def head(x: np.ndarray) -> np.ndarray:
         v = x[:, 0]
         q = Q * v**4
-        weight = levy_pdf(H, q) * (4.0 * Q * v**3)
-        vals = klein_gordon_evolve(phi0, t, scale * q, params) * weight.reshape(node_shape)
-        return np.stack((vals.real, vals.imag), axis=1)
+        return (np.exp(-s * q) * levy_pdf(H, q) * (4.0 * Q * v**3))[:, None]
 
-    head = _cubature(
-        integrand, 0.0, 1.0, "field", atol=quad_tol * lhs.sup_norm(), rtol=0.0,
-        max_subdivisions=_HEAD_SUBDIVISIONS,
-    )
-    # beyond Q the wave ansatz's explicit e^{-p t^2} damping factors out
-    tail_weight = _cubature(
+    weight = _cubature(
+        head, 0.0, 1.0, "head weight", atol=quad_tol * damp, rtol=0.0, max_subdivisions=_HEAD_SUBDIVISIONS
+    )[0]
+    weight += _cubature(
         lambda x: (np.exp(-s * x[:, 0]) * levy_pdf(H, x[:, 0]))[:, None], Q, np.inf, "tail weight",
         atol=1e-5 * quad_tol * damp, rtol=1e-10, max_subdivisions=_TAIL_SUBDIVISIONS,
     )[0]
-    rhs = Field(spec, head[0] + 1j * head[1] + tail_weight * psi0.values)
+    rhs = weight * psi0
     return lhs, rhs
 
 

@@ -87,13 +87,21 @@ def _transform(values: np.ndarray, spec: GridSpec, forward: bool) -> np.ndarray:
     return _placed(_transform_rows(rows, spec, forward), live, np.arange(spec.nblades))
 
 
+def _require_class(x, cls, name: str) -> None:
+    """TypeError unless ``x`` is exactly a ``cls``: site and momentum data never mix."""
+    if type(x) is not cls:
+        raise TypeError(f"{name} takes a {cls.__name__}, not a {type(x).__name__}")
+
+
 def dft_forward(f: Field) -> MomentumField:
     """Forward transform, componentwise per blade."""
+    _require_class(f, Field, "dft_forward")
     return MomentumField(f.spec, _transform(f.values, f.spec, forward=True), _copy=False)
 
 
 def dft_inverse(F: MomentumField) -> Field:
     """Inverse transform; exact inverse of :func:`dft_forward` on the truncation."""
+    _require_class(F, MomentumField, "dft_inverse")
     return Field(F.spec, _transform(F.values, F.spec, forward=False), _copy=False)
 
 
@@ -105,6 +113,7 @@ def momentum_sesquilinear(F: MomentumField, G: MomentumField) -> Multivector:
 def convolve(K: Field, f: Field) -> Field:
     """Discrete convolution (K * f)(x) = sum_y h^n K(x-y) f(y), kernel on the left."""
     K._require_same_spec(f)
+    _require_class(K, Field, "convolve")
     spec = K.spec
     FK = dft_forward(K)
     Ff = dft_forward(f)

@@ -54,6 +54,21 @@ def test_site_and_momentum_data_never_mix(combine):
             combine(x, y)
 
 
+@pytest.mark.parametrize(
+    "transform, wrong",
+    [
+        (lambda f, F: dft_forward(F), "dft_forward takes a Field, not a MomentumField"),
+        (lambda f, F: dft_inverse(f), "dft_inverse takes a MomentumField, not a Field"),
+        (lambda f, F: convolve(F, F), "convolve takes a Field, not a MomentumField"),
+    ],
+    ids=["dft_forward", "dft_inverse", "convolve_momentum"],
+)
+def test_transforms_take_only_their_class(transform, wrong):
+    f = delta_h(GridSpec(1, 1.0, Fraction(1, 4), 8))
+    with pytest.raises(TypeError, match=wrong):
+        transform(f, dft_forward(f))
+
+
 def test_forward_all_ones_concentrates_at_zero_mode():
     # n=1, h=1, N=4: constant 1 transforms to 4 (2 pi)^{-1/2} at xi = 0
     spec = GridSpec(1, 1.0, Fraction(1, 4), 4)
