@@ -5,7 +5,8 @@ dump-multiplier, verify.  Field outputs follow the CSV schema
 k1..kn,mask,re,im plus a JSON manifest; runs are fully deterministic
 (identical config => identical bytes).  Config precedence: JSON config file
 below command-line flags.  DFP_THREADS caps the numeric thread pools and is
-applied before the numeric stack loads.
+applied before the numeric stack loads; it also caps the processes the CSV
+writer forks to format a large output (see :mod:`dfplattice.fieldio`).
 """
 
 from __future__ import annotations

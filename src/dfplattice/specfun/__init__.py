@@ -17,7 +17,6 @@ from .wright import (
 )
 from .levy import LevyValue, levy_laplace, levy_pdf, levy_pdf_eval
 from .hartman_watson import (
-    AccuracyWarning,
     bessel_from_hartman_watson,
     cancellation_floor,
     hartman_watson_theta,
@@ -46,7 +45,6 @@ __all__ = [
     "levy_pdf",
     "levy_pdf_eval",
     "levy_laplace",
-    "AccuracyWarning",
     "hartman_watson_theta",
     "cancellation_floor",
     "bessel_from_hartman_watson",

@@ -7,9 +7,9 @@ The integrand oscillates with half-period p and carries the factor
 exp(pi^2/(2p)), so in double precision the alternating sum cancels down by
 ~4.3/p decimal digits; below p ~ 0.17 the true value (itself decaying like
 exp(-c log^2(1/p)/p)) drowns in roundoff.  The evaluation splits at the sine
-zeros y = m p, sums Gauss panels, and reports an accuracy warning whenever
-the request leaves the tame range r in [0.5, 5], p in (0, 10] or sits below
-the cancellation floor.
+zeros y = m p and sums Gauss panels.  A request outside the tame range
+r in [0.5, 5], p in (0, 10], or below the cancellation floor, raises
+DomainError instead of returning noise.
 
 The Laplace identity int_0^inf e^{-k^2 p / 2} theta_r(p) dp = I_k(r) is the
 sole accuracy contract; :func:`bessel_from_hartman_watson` reconstructs the
@@ -19,22 +19,15 @@ left side by outer quadrature (with the noise floor as lower limit and a
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .gammafn import DomainError
 
 __all__ = [
-    "AccuracyWarning",
     "hartman_watson_theta",
     "cancellation_floor",
     "bessel_from_hartman_watson",
 ]
-
-
-class AccuracyWarning(UserWarning):
-    """Returned value is outside the range where accuracy is guaranteed."""
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
@@ -52,18 +45,21 @@ def cancellation_floor(r: float, noise_target: float = 1e-5) -> float:
     return float(np.pi**2 / (2.0 * np.log(noise_target / amp)))
 
 
-def hartman_watson_theta(r: float, p: float, warn: bool = True) -> float:
-    """theta_r(p) by oscillatory quadrature split at the sine zeros."""
+def hartman_watson_theta(r: float, p: float) -> float:
+    """theta_r(p) in the tame range; elsewhere DomainError."""
     if r <= 0.0 or p <= 0.0:
         raise DomainError("hartman_watson_theta requires r > 0 and p > 0")
-    if warn and not (
-        TAME_R[0] <= r <= TAME_R[1] and cancellation_floor(r) <= p <= TAME_P_MAX
-    ):
-        warnings.warn(
-            f"theta_r(p) at r={r}, p={p} outside the guaranteed-accuracy range",
-            AccuracyWarning,
-            stacklevel=2,
+    floor = cancellation_floor(r)
+    if not (TAME_R[0] <= r <= TAME_R[1] and floor <= p <= TAME_P_MAX):
+        raise DomainError(
+            f"theta_r(p) at r={r}, p={p} is outside its guaranteed-accuracy range "
+            f"r in [{TAME_R[0]}, {TAME_R[1]}], p in [{floor:.4g}, {TAME_P_MAX}] (a floor that depends on r)"
         )
+    return _theta(r, p)
+
+
+def _theta(r: float, p: float) -> float:
+    """theta_r(p) by oscillatory quadrature split at the sine zeros, for any r, p > 0."""
     pref = r / np.sqrt(2.0 * np.pi**3 * p)
     # support cutoff: both e^{-r cosh y} and the Gaussian kill the tail
     ymax = min(np.arccosh(80.0 / r + 1.0), np.sqrt(2.0 * p * 80.0 + np.pi**2))
@@ -93,14 +89,14 @@ def bessel_from_hartman_watson(k: int, r: float) -> float:
     floor = cancellation_floor(r)
     split = 40.0
     head, _ = quad(
-        lambda p: np.exp(-k2 * p) * hartman_watson_theta(r, p, warn=False),
+        lambda p: np.exp(-k2 * p) * _theta(r, p),
         floor,
         split,
         limit=600,
     )
     # far tail in v = 1/p: smooth algebraic integrand near v = 0
     tail, _ = quad(
-        lambda v: np.exp(-k2 / v) * hartman_watson_theta(r, 1.0 / v, warn=False) / v**2,
+        lambda v: np.exp(-k2 / v) * _theta(r, 1.0 / v) / v**2,
         1e-12,
         1.0 / split,
         limit=600,

@@ -443,7 +443,7 @@ def check_hartman_watson_positivity() -> float:
     worst = 0.0  # most negative value seen, sign-flipped
     for r in (0.5, 1.0, 2.0, 5.0):
         for p in (0.3, 0.5, 1.0, 2.0, 5.0, 10.0):
-            worst = max(worst, -hartman_watson_theta(r, p, warn=False))
+            worst = max(worst, -hartman_watson_theta(r, p))
     return worst
 
 

@@ -148,6 +148,18 @@ def test_specfun_wright_rows(capsys):
     assert json.loads(out)["value"] == pytest.approx(np.e**2, rel=1e-12)
 
 
+@pytest.mark.parametrize("r, p", [("1", "0.08"), ("20", "0.05")], ids=["below-floor", "large-r"])
+def test_specfun_hartman_watson_refuses_outside_tame_range(capsys, r, p):
+    # both printed noise (-3.6e9 and 1.95e17) and exited 0
+    code, out, err = run_cli(["specfun", "--fn", "hartman-watson", "--r", r, "--p", p], capsys)
+    assert code == 1
+    assert out == ""
+    assert "outside its guaranteed-accuracy range" in err
+    code, out, _ = run_cli(["specfun", "--fn", "hartman-watson", "--r", "1", "--p", "0.5"], capsys)
+    assert code == 0
+    assert json.loads(out)["value"] > 0
+
+
 def test_subordinate_manifest_errors(tmp_path, capsys):
     out_path = tmp_path / "sub.csv"
     code, _, _ = run_cli(

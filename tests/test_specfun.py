@@ -6,7 +6,6 @@ from scipy.integrate import quad
 from scipy.special import gammaln as sp_gammaln
 
 from dfplattice.specfun import (
-    AccuracyWarning,
     DomainError,
     FoxWrightParams,
     bessel_i_scaled,
@@ -374,10 +373,10 @@ def test_theta_against_high_precision_reference():
         assert hartman_watson_theta(r, p) == pytest.approx(theta_mp(r, p), rel=1e-9)
 
 
-def test_theta_warns_outside_tame_range():
-    with pytest.warns(AccuracyWarning):
+def test_theta_refuses_outside_tame_range():
+    with pytest.raises(DomainError, match="outside its guaranteed-accuracy range"):
         hartman_watson_theta(20.0, 1.0)
-    with pytest.warns(AccuracyWarning):
+    with pytest.raises(DomainError, match="outside its guaranteed-accuracy range"):
         hartman_watson_theta(1.0, 0.05)
     assert cancellation_floor(1.0) < 0.2
 
