@@ -17,15 +17,12 @@ from .spectral import (
     dft_forward,
     dft_inverse,
     momentum_sesquilinear,
-    refine_field,
-    restrict_field,
 )
 from .operators import (
     dirac_apply,
     dirac_multiplier,
     dirac_symbol,
     laplacian_apply,
-    laplacian_multiplier,
     laplacian_symbol,
 )
 from .solver import (

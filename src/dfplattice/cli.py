@@ -23,9 +23,6 @@ EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_USAGE = 2
 
-_GRID_KEYS = ("dim", "points", "h", "alpha")
-_MODEL_KEYS = ("mu", "sigma2", "hurst", "p")
-
 
 def _apply_thread_cap() -> None:
     cap = os.environ.get("DFP_THREADS")
@@ -48,7 +45,6 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mu", type=float, default=None, help="drift")
     p.add_argument("--sigma2", type=float, default=None, help="diffusion sigma^2")
     p.add_argument("--hurst", type=float, default=None, help="Hurst exponent in (0,1)")
-    p.add_argument("--p", type=float, default=None, help="damping parameter p >= 0")
 
 
 def _add_io_args(p: argparse.ArgumentParser, reads_input: bool = True) -> None:
@@ -88,7 +84,7 @@ def _grid(cfg: dict):
 def _model(cfg: dict):
     from .solver import ModelParams
 
-    return ModelParams(float(cfg["mu"]), float(cfg["sigma2"]), float(cfg["hurst"]), float(cfg["p"]))
+    return ModelParams(float(cfg["mu"]), float(cfg["sigma2"]), float(cfg["hurst"]))
 
 
 def _load_initial(cfg: dict, spec):
@@ -379,6 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kg", help="damped wave (Klein-Gordon) solution")
     _add_grid_args(p), _add_model_args(p), _add_io_args(p)
     p.add_argument("--t", type=float, default=None)
+    p.add_argument("--p", type=float, default=None, help="damping parameter p >= 0")
     p.set_defaults(func=_cmd_kg)
 
     p = sub.add_parser("subordinate", help="Levy subordination identity check")

@@ -42,7 +42,6 @@ __all__ = [
     "blade_product",
     "dagger_sign",
     "dagger_signs",
-    "dagger_arrays",
     "generator_mask",
     "geometric_product_arrays",
     "generator_tables",
@@ -214,13 +213,6 @@ def sesquilinear_arrays(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     nb = num_blades(n)
     gram = np.conj(a.reshape(nb, -1)) @ b.reshape(nb, -1).T
     return _cayley_sum(dagger_signs(n)[:, None] * gram, n)
-
-
-def dagger_arrays(a: np.ndarray, n: int) -> np.ndarray:
-    """Blade conjugation of a blade-major coefficient array."""
-    _require_blade_axis(a, n)
-    sgn = dagger_signs(n).reshape((num_blades(n),) + (1,) * (a.ndim - 1))
-    return sgn * np.conj(a)
 
 
 class Multivector:

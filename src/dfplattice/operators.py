@@ -33,7 +33,6 @@ __all__ = [
     "laplacian_apply",
     "dirac_apply",
     "apply_dirac_symbol_arrays",
-    "laplacian_multiplier",
     "dirac_multiplier",
 ]
 
@@ -155,11 +154,6 @@ def dirac_apply(f: Field) -> Field:
     F = dft_forward(f)
     out = apply_dirac_symbol_arrays(F.values, f.spec)
     return dft_inverse(MomentumField(f.spec, out, _copy=False))
-
-
-def laplacian_multiplier(spec: GridSpec) -> MomentumField:
-    """The symbol d(xi)^2 of -Laplacian as a scalar MomentumField."""
-    return MomentumField.from_blade_array(spec, 0, symbol_tables(spec).d2)
 
 
 def dirac_multiplier(spec: GridSpec) -> MomentumField:

@@ -1,6 +1,7 @@
 """Evolution machinery: heat semigroup, time-changed drift-diffusion flow,
 damped wave solutions, Levy subordination, and the kernel Mellin calculus."""
 
+from ..specfun import QuadratureError
 from .params import ModelParams
 from .evolution import (
     dfp_evolve,
@@ -19,11 +20,7 @@ from .kernels import (
     kg_kernel_mellin,
     mellin_barnes_kernel,
 )
-from .subordination import (
-    QuadratureError,
-    levy_subordination_check,
-    levy_subordination_modewise,
-)
+from .subordination import levy_subordination_check, levy_subordination_modewise
 
 __all__ = [
     "ModelParams",

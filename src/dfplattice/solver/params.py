@@ -10,17 +10,16 @@ __all__ = ["ModelParams"]
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Finite drift mu, diffusion sigma2 >= 0 and damping p >= 0, Hurst exponent in (0,1).
+    """Finite drift mu, diffusion sigma2 >= 0, Hurst exponent in (0,1).
 
-    ``p`` is the Gaussian-damping / subordination parameter of the
-    Klein-Gordon problem; the Mellin-Barnes kernel routines additionally
+    The Klein-Gordon damping p is an argument of ``klein_gordon_evolve``,
+    not a model parameter; the Mellin-Barnes kernel routines additionally
     require alpha + 1/2 <= hurst < 1 and enforce it at the call site.
     """
 
     mu: float
     sigma2: float
     hurst: float
-    p: float = 0.0
 
     def __post_init__(self):
         if not -inf < self.mu < inf:
@@ -29,5 +28,3 @@ class ModelParams:
             raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
         if not 0.0 < self.hurst < 1.0:
             raise ValueError("hurst must lie in (0, 1)")
-        if not 0.0 <= self.p < inf:
-            raise ValueError(f"p must be finite and >= 0, got {self.p}")

@@ -15,10 +15,10 @@ Q grown until e^{-s Q} < 1e-8, and runs in v with q = Q v^4, so the first
 pass already sees the steep rise of L_H near 0; on [0, Q] itself both rules
 agreed on a value 1.7e-5 off on one drawn case.  The tail covers [Q, inf).
 (One pass over [0, inf) missed by 6.5e-6 at sigma2 = 1e-4, H = 0.85: the
-mapped tail is singular at its end.)  The head stops at quad_tol e^{-c t^{2H}}
-and the tail at 1e-5 quad_tol e^{-c t^{2H}}, so both scale with the
-identity's own size; a pass that does not converge, or whose error is not
-below its estimate (its nodes missed a narrow peak), raises QuadratureError.
+mapped tail is singular at its end.)  The head stops at 1e-7 e^{-c t^{2H}}
+and the tail at 1e-12 e^{-c t^{2H}}, so both scale with the identity's own
+size; a pass that does not converge, or whose error is not below its
+estimate (its nodes missed a narrow peak), raises QuadratureError.
 Modewise statement: identical with c replaced by sigma2 d2(xi)/2 per
 momentum node; the Clifford factor of the mode function is p-independent, so
 every mode reduces to the Laplace transform of the Levy density, and
@@ -35,24 +35,19 @@ import numpy as np
 from ..lattice import Field
 from ..operators import symbol_tables
 from ..specfun import levy_laplace, levy_pdf
+from ..specfun.gammafn import _cubature
 from ..spectral import MomentumField, dft_forward
 from .evolution import _require_time, klein_gordon_evolve
 from .kernels import _damping_constant
 from .params import ModelParams
 
-__all__ = [
-    "levy_subordination_check",
-    "levy_subordination_modewise",
-    "QuadratureError",
-]
+__all__ = ["levy_subordination_check", "levy_subordination_modewise"]
 
 # subdivision caps of the head and the tail pass; 432 drawn cases (n <= 2,
 # sigma2 down to 1e-8) took at most 6 and 44
 _HEAD_SUBDIVISIONS, _TAIL_SUBDIVISIONS = 100, 400
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+# the head pass's tolerance relative to the identity's size e^{-c t^{2H}}
+_QUAD_TOL = 1e-7
 
 
 def _head_cutoff(s: float, hurst: float) -> float:
@@ -62,26 +57,7 @@ def _head_cutoff(s: float, hurst: float) -> float:
     return min(Q, 64.0)
 
 
-def _cubature(f, a: float, b: float, what: str, **options):
-    """One GK21 ``cubature`` pass over [a, b]; raises QuadratureError unless it converged
-    to an estimate larger than its error."""
-    from scipy.integrate import cubature
-
-    res = cubature(f, [a], [b], rule="gk21", **options)
-    err, size = float(np.max(res.error)), float(np.max(np.abs(res.estimate)))
-    if res.status != "converged":
-        raise QuadratureError(
-            f"{what} cubature stopped after {res.subdivisions} subdivisions "
-            f"at error {err:.3e} (atol {res.atol:.3e}, rtol {res.rtol:.3e})"
-        )
-    if 0.0 < err >= size:  # the nodes missed the integrand: no digit of the estimate is known
-        raise QuadratureError(f"{what} cubature error {err:.3e} is not below its largest |estimate| {size:.3e}")
-    return res.estimate
-
-
-def levy_subordination_check(
-    phi0: Field, t: float, params: ModelParams, quad_tol: float = 1e-7
-) -> Tuple[Field, Field]:
+def levy_subordination_check(phi0: Field, t: float, params: ModelParams) -> Tuple[Field, Field]:
     """(lhs, rhs) fields of the sitewise subordination identity."""
     _require_time(t)
     spec = phi0.spec
@@ -102,11 +78,11 @@ def levy_subordination_check(
         return (np.exp(-s * q) * levy_pdf(H, q) * (4.0 * Q * v**3))[:, None]
 
     weight = _cubature(
-        head, 0.0, 1.0, "head weight", atol=quad_tol * damp, rtol=0.0, max_subdivisions=_HEAD_SUBDIVISIONS
+        head, 0.0, 1.0, "head weight", atol=_QUAD_TOL * damp, rtol=0.0, max_subdivisions=_HEAD_SUBDIVISIONS
     )[0]
     weight += _cubature(
         lambda x: (np.exp(-s * x[:, 0]) * levy_pdf(H, x[:, 0]))[:, None], Q, np.inf, "tail weight",
-        atol=1e-5 * quad_tol * damp, rtol=1e-10, max_subdivisions=_TAIL_SUBDIVISIONS,
+        atol=1e-5 * _QUAD_TOL * damp, rtol=1e-10, max_subdivisions=_TAIL_SUBDIVISIONS,
     )[0]
     rhs = weight * psi0
     return lhs, rhs

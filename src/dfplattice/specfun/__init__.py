@@ -4,7 +4,7 @@ scaled Bessel, one-sided Levy density, Hartman-Watson, numerical Mellin.
 scipy is imported inside the functions that call it, so importing the
 package (and every CLI command whose path calls none of them) does not load it."""
 
-from .gammafn import DomainError, gamma, log_gamma, recip_gamma
+from .gammafn import DomainError, QuadratureError, gamma, log_gamma, recip_gamma
 from .wright import (
     FoxWrightParams,
     FoxWrightValue,
@@ -21,15 +21,11 @@ from .hartman_watson import (
     cancellation_floor,
     hartman_watson_theta,
 )
-from .mellin import (
-    mellin_convolve,
-    mellin_inverse,
-    mellin_parseval_check,
-    mellin_transform,
-)
+from .mellin import mellin_convolve, mellin_inverse, mellin_transform
 
 __all__ = [
     "DomainError",
+    "QuadratureError",
     "gamma",
     "recip_gamma",
     "log_gamma",
@@ -51,5 +47,4 @@ __all__ = [
     "mellin_transform",
     "mellin_inverse",
     "mellin_convolve",
-    "mellin_parseval_check",
 ]

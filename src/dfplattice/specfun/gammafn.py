@@ -1,20 +1,44 @@
-"""Gamma-function front end used across the special-function stack.
+"""Gamma-function front end used across the special-function stack, the
+package's domain errors, and its one adaptive-quadrature wrapper.
 
 Thin wrappers over scipy's complex Gamma with the pole behaviour this
 package relies on: ``gamma`` raises at the poles, ``recip_gamma`` is entire
 and returns exact zeros there (series over reciprocal Gammas then drop pole
-terms automatically).
+terms automatically).  Every ``scipy.integrate.cubature`` pass in the
+package runs through :func:`_cubature`, which returns an estimate only if
+the pass converged to it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DomainError", "gamma", "recip_gamma", "log_gamma"]
+__all__ = ["DomainError", "QuadratureError", "gamma", "recip_gamma", "log_gamma"]
 
 
 class DomainError(ValueError):
     """A request outside the mathematical domain of an operation."""
+
+
+class QuadratureError(DomainError):
+    """An adaptive quadrature pass that did not reach its tolerance."""
+
+
+def _cubature(f, a: float, b: float, what: str, **options) -> np.ndarray:
+    """One GK21 ``cubature`` pass over [a, b]; raises QuadratureError unless it converged
+    to an estimate larger than its error."""
+    from scipy.integrate import cubature
+
+    res = cubature(f, [a], [b], rule="gk21", **options)
+    err, size = float(np.max(res.error)), float(np.max(np.abs(res.estimate)))
+    if res.status != "converged":
+        raise QuadratureError(
+            f"{what} cubature stopped after {res.subdivisions} subdivisions "
+            f"at error {err:.3e} (atol {res.atol:.3e}, rtol {res.rtol:.3e})"
+        )
+    if 0.0 < err >= size:  # the nodes missed the integrand: no digit of the estimate is known
+        raise QuadratureError(f"{what} cubature error {err:.3e} is not below its largest |estimate| {size:.3e}")
+    return res.estimate
 
 
 def _is_nonpositive_integer(s):

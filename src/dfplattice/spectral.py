@@ -31,8 +31,6 @@ __all__ = [
     "dft_inverse",
     "momentum_sesquilinear",
     "convolve",
-    "refine_field",
-    "restrict_field",
     "CONVOLUTION_CONSTANT_POWER",
 ]
 
@@ -121,35 +119,3 @@ def convolve(K: Field, f: Field) -> Field:
     prod = geometric_product_arrays(FK.values, Ff.values, spec.n)
     prod *= const
     return dft_inverse(MomentumField(spec, prod, _copy=False))
-
-
-def refine_field(f: Field, factor: int) -> Field:
-    """Embed a field into the grid refined by ``factor`` (spacing h/factor).
-
-    The embedding zero-pads the momentum data, i.e. extends the field as the
-    trigonometric polynomial it already is: coarse mode k, Nyquist node
-    included, lands on fine mode k.  Restricting back to the coarse sites
-    recovers the input exactly.  Used by the stencil cross-checks for Dirac
-    shifts that leave the storage grid.
-    """
-    if factor < 1:
-        raise ValueError("refinement factor must be >= 1")
-    spec = f.spec
-    if factor == 1:
-        return f
-    fine = GridSpec(spec.n, spec.h / factor, spec.alpha, spec.N * factor)
-    F = dft_forward(f)
-    vals = np.zeros((spec.nblades,) + fine.site_shape, dtype=complex)
-    fine_index = spec.momentum_indices() % fine.N
-    vals[(slice(None),) + np.ix_(*[fine_index] * spec.n)] = F.values
-    return dft_inverse(MomentumField(fine, vals, _copy=False))
-
-
-def restrict_field(f: Field, factor: int) -> Field:
-    """Sample every ``factor``-th site back onto the coarse grid."""
-    spec = f.spec
-    if spec.N % factor:
-        raise ValueError("factor must divide N")
-    coarse = GridSpec(spec.n, spec.h * factor, spec.alpha, spec.N // factor)
-    sl = (slice(None),) + (slice(None, None, factor),) * spec.n
-    return Field(coarse, f.values[sl])

@@ -447,16 +447,18 @@ def check_hartman_watson_positivity() -> float:
     return worst
 
 
+_HARTMAN_WATSON_ORDERS, _HARTMAN_WATSON_RADII = (0, 1, 2), (1.0, 2.0)
 HARTMAN_WATSON_POINTS: Tuple[Tuple[int, float], ...] = tuple(
-    (k, r) for r in (1.0, 2.0) for k in (0, 1, 2)
+    (k, r) for r in _HARTMAN_WATSON_RADII for k in _HARTMAN_WATSON_ORDERS
 )
 
 
 def check_hartman_watson_laplace() -> float:
     worst = 0.0
-    for k, r in HARTMAN_WATSON_POINTS:
-        target = bessel_i_scaled(k, r) * np.exp(r)
-        worst = max(worst, abs(bessel_from_hartman_watson(k, r) - target) / target)
+    for r in _HARTMAN_WATSON_RADII:  # every order in one pass
+        target = bessel_i_scaled(_HARTMAN_WATSON_ORDERS, r) * np.exp(r)
+        got = bessel_from_hartman_watson(_HARTMAN_WATSON_ORDERS, r)
+        worst = max(worst, float(np.max(np.abs(got - target) / target)))
     return worst
 
 

@@ -9,8 +9,10 @@ fractional Dirac operator via finite-difference stencils on a refined grid
 instead of its Fourier symbol, Fox-Wright series via literal Gamma
 products instead of term ratios or log-Gammas, the Levy density at index
 1/2 via its closed form instead of the series or the Zolotarev integral,
-and field rows via a Python sort of every nonzero entry instead of the
-layout.
+the Hartman-Watson density via a running total over its panels instead of
+one (p x panel x node) array, and field rows via a Python sort of every
+nonzero entry instead of the layout.  The refinement-grid embedding the
+stencil oracle needs lives here too: no library code uses it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from scipy.special import gamma, rgamma
 
 from dfplattice.clifford import Multivector, num_blades
 from dfplattice.lattice import Field, GridSpec
-from dfplattice.spectral import MomentumField, refine_field, restrict_field
+from dfplattice.spectral import MomentumField, dft_forward, dft_inverse
 
 
 # ---------------------------------------------------------- blade products
@@ -132,6 +134,32 @@ def convolve_direct(K: Field, f: Field) -> Field:
     return Field(spec, out)
 
 
+# -------------------------------------------------------- refinement grid
+
+def refine_field(f: Field, factor: int) -> Field:
+    """Embed a field into the grid refined by ``factor`` (spacing h/factor).
+
+    The embedding zero-pads the momentum data, i.e. extends the field as the
+    trigonometric polynomial it already is: coarse mode k, Nyquist node
+    included, lands on fine mode k.  Restricting back to the coarse sites
+    recovers the input exactly.  The stencil oracle needs it for Dirac
+    shifts that leave the storage grid.
+    """
+    spec = f.spec
+    fine = GridSpec(spec.n, spec.h / factor, spec.alpha, spec.N * factor)
+    vals = np.zeros((spec.nblades,) + fine.site_shape, dtype=complex)
+    fine_index = spec.momentum_indices() % fine.N
+    vals[(slice(None),) + np.ix_(*[fine_index] * spec.n)] = dft_forward(f).values
+    return dft_inverse(MomentumField(fine, vals, _copy=False))
+
+
+def restrict_field(f: Field, factor: int) -> Field:
+    """Sample every ``factor``-th site back onto the coarse grid."""
+    spec = f.spec
+    coarse = GridSpec(spec.n, spec.h * factor, spec.alpha, spec.N // factor)
+    return Field(coarse, f.values[(slice(None),) + (slice(None, None, factor),) * spec.n])
+
+
 # ------------------------------------------------------------ Dirac stencils
 
 def _left_generator(field_vals: np.ndarray, j: int, n: int) -> np.ndarray:
@@ -228,6 +256,22 @@ def levy_half_pdf(u: np.ndarray) -> np.ndarray:
     """The one-sided stable density at index 1/2 in closed form: u^{-3/2} e^{-1/(4u)} / (2 sqrt(pi))."""
     u = np.asarray(u, dtype=float)
     return u**-1.5 * np.exp(-1.0 / (4.0 * u)) / (2.0 * np.sqrt(np.pi))
+
+
+# --------------------------------------------------------- Hartman-Watson
+
+def hartman_watson_theta_loop(r: float, p: float) -> float:
+    """theta_r(p) for one p by a running total over the Gauss panels between the sine zeros."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    ymax = min(np.arccosh(80.0 / r + 1.0), np.sqrt(2.0 * p * 80.0 + np.pi**2))
+    total, m = 0.0, 0
+    while m * p < ymax:
+        a, b = m * p, min((m + 1) * p, ymax)
+        y = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+        f = np.exp((np.pi**2 - y**2) / (2.0 * p) - r * np.cosh(y)) * np.sinh(y) * np.sin(np.pi * y / p)
+        total += float(np.sum(0.5 * (b - a) * weights * f))
+        m += 1
+    return r / np.sqrt(2.0 * np.pi**3 * p) * total
 
 
 # ------------------------------------------------------------- field rows

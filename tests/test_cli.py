@@ -95,6 +95,17 @@ def test_kg_command(tmp_path, capsys):
         got = read_field_csv(fh, spec)
     expect = klein_gordon_evolve(delta_h(spec), 0.5, 0.5, ModelParams(1.0, 1.0, 0.7))
     assert got.sup_diff(expect) < 1e-15
+    code, _, err = run_cli(["kg", "--points", "16", "--t", "0.5", "--p", "-1"], capsys)
+    assert code == 1 and "p must be >= 0" in err
+
+
+@pytest.mark.parametrize("command", ["evolve", "kernel", "subordinate", "mellin-barnes"])
+def test_damping_flag_only_on_kg(command, capsys):
+    # only kg reads p; elsewhere --p is a usage error, not a silent no-op
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--p", "0.5"])
+    assert exc.value.code == 2
+    assert "--p" in capsys.readouterr().err
 
 
 def test_kernel_wright_route_matches_trig(capsys):
@@ -397,7 +408,7 @@ def test_manifest_names_input_only_when_read(tmp_path, capsys):
         manifest = json.loads((tmp_path / f"{command}.csv.manifest.json").read_text())
         assert manifest.get("input") == (str(src) if command == "evolve" else None)
         # config lists only the keys the subcommand's own parser defines
-        unread = {"T", "c", "kind", "site"} | ({"route", "beta"} if command == "evolve" else set())
+        unread = {"T", "c", "kind", "site", "p"} | ({"route", "beta"} if command == "evolve" else set())
         assert not unread & set(manifest["config"])
 
 

@@ -6,12 +6,12 @@ import pytest
 
 from dfplattice.clifford import Multivector, geometric_product_arrays
 from dfplattice.lattice import Field, GridSpec, delta_h
+from dfplattice.spectral import MomentumField
 from dfplattice.operators import (
     dirac_apply,
     dirac_multiplier,
     dirac_symbol,
     laplacian_apply,
-    laplacian_multiplier,
     laplacian_symbol,
     symbol_tables,
 )
@@ -107,7 +107,7 @@ def test_dirac_matches_refinement_stencil_2d():
 )
 def test_multiplier_tables_shape_and_values(n, N, h, alpha):
     spec = GridSpec(n, h, alpha, N)
-    lap = laplacian_multiplier(spec)
+    lap = MomentumField.from_blade_array(spec, 0, symbol_tables(spec).d2)
     dm = dirac_multiplier(spec)
     assert lap.values.shape == dm.values.shape == (spec.nblades,) + spec.site_shape
     # laplacian values real, >= 0, zero exactly at the zero mode

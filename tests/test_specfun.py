@@ -4,10 +4,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln as sp_gammaln
+from scipy.special import iv as sp_iv
 
 from dfplattice.specfun import (
     DomainError,
     FoxWrightParams,
+    QuadratureError,
+    bessel_from_hartman_watson,
     bessel_i_scaled,
     cancellation_floor,
     fox_wright,
@@ -18,14 +21,14 @@ from dfplattice.specfun import (
     levy_pdf,
     levy_pdf_eval,
     mellin_convolve,
-    mellin_parseval_check,
     mellin_transform,
     mittag_leffler,
     recip_gamma,
     wright_cos,
     wright_sinc,
 )
-from oracles import fox_wright_partial_sum, levy_half_pdf
+from dfplattice.specfun.gammafn import _cubature
+from oracles import fox_wright_partial_sum, hartman_watson_theta_loop, levy_half_pdf
 
 
 # ---------------------------------------------------------------- gamma
@@ -335,6 +338,8 @@ def test_levy_laplace_exp_minus_one():
     assert vals[0, 0] == 1.0
     assert vals[1, 0] == pytest.approx(0.36787944117144233, rel=1e-8)
     assert np.allclose(vals, np.exp(-(s**0.7)), rtol=1e-8, atol=0.0)
+    # the contract is absolute: 1.543e-18 for e^{-200^0.7} = 1.898e-18 is inside atol 1e-12
+    assert abs(levy_laplace(0.7, 200.0) - np.exp(-(200.0**0.7))) <= 1e-12
     with pytest.raises(DomainError):
         levy_laplace(0.7, np.array([1.0, -1e-3]))
 
@@ -378,7 +383,74 @@ def test_theta_refuses_outside_tame_range():
         hartman_watson_theta(20.0, 1.0)
     with pytest.raises(DomainError, match="outside its guaranteed-accuracy range"):
         hartman_watson_theta(1.0, 0.05)
+    with pytest.raises(DomainError, match="p=0.05 is outside"):
+        hartman_watson_theta(1.0, np.array([0.5, 0.05, 2.0]))
     assert cancellation_floor(1.0) < 0.2
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 5.0])
+def test_theta_array_equals_scalar_calls(r):
+    # the support ends at ymax = arccosh(80/r + 1) for these p: ymax/3 and ymax/7 put a
+    # panel edge on it, and p = 7 > ymax is one panel cut short
+    ymax = float(np.arccosh(80.0 / r + 1.0))
+    p = np.array([[cancellation_floor(r), 0.3, ymax / 7.0], [ymax / 3.0, 1.0, 7.0]])
+    got = hartman_watson_theta(r, p)
+    assert got.shape == p.shape
+    want = np.array([[hartman_watson_theta(r, float(x)) for x in row] for row in p])
+    assert got.tobytes() == want.tobytes()
+    loop = np.array([[hartman_watson_theta_loop(r, float(x)) for x in row] for row in p])
+    assert got.tobytes() == loop.tobytes()
+    assert type(hartman_watson_theta(r, 1.0)) is float
+    assert hartman_watson_theta(r, np.zeros((0, 2))).shape == (0, 2)
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_bessel_from_hartman_watson_returns_in_its_range(r):
+    orders = np.array([0, 1, 2])
+    got = bessel_from_hartman_watson(orders, r)
+    assert got.shape == (3,)
+    # the left-out head [0, floor] is the error: 1.7e-5 at r = 2, far less below
+    assert np.all(np.abs(got - sp_iv(orders, r)) <= 2e-5 * sp_iv(orders, r))
+    per_order = [bessel_from_hartman_watson(int(k), r) for k in orders]
+    assert all(type(v) is float for v in per_order)
+    assert np.allclose(got, per_order, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("r", [3.0, 5.0, 8.0])
+def test_bessel_from_hartman_watson_refuses_a_large_head(r):
+    # without the refusal I_0(5) came out 0.12 off and I_0(8) 0.72 off (120.3 for 427.6)
+    match = "head" if r <= 5.0 else "requires r in"
+    with pytest.raises(DomainError, match=match):
+        bessel_from_hartman_watson(np.array([0, 1, 2]), r)
+
+
+def test_bessel_from_hartman_watson_unconverged_orders_raise():
+    # order 6 at r = 0.5 sits in theta's noise at the floor: without the check it came out 4.1e-3 off
+    with pytest.raises(QuadratureError, match="stopped after 50 subdivisions"):
+        bessel_from_hartman_watson(6, 0.5)
+    with pytest.raises(QuadratureError):
+        bessel_from_hartman_watson(np.arange(7), 0.5)
+
+
+# ------------------------------------------------------------- cubature
+
+def test_cubature_stopped_at_its_cap_raises():
+    # sqrt|x - 1/3| has a kink no bisection lands on: 1e-14 is out of reach in 3 subdivisions
+    kink = lambda x: np.sqrt(np.abs(x - 1.0 / 3.0))  # noqa: E731
+    with pytest.raises(QuadratureError, match="stopped after 3 subdivisions") as info:
+        _cubature(kink, 0.0, 1.0, "kink", rtol=1e-14, max_subdivisions=3)
+    assert isinstance(info.value, DomainError)
+    assert _cubature(kink, 0.0, 1.0, "kink", rtol=1e-6)[0] == pytest.approx(
+        (2.0 / 3.0) * ((1.0 / 3.0) ** 1.5 + (2.0 / 3.0) ** 1.5), rel=1e-6
+    )
+
+
+def test_cubature_error_not_below_its_estimate_raises():
+    # a peak only the Kronrod midpoint sees: the Gauss rule reads 0, so the error equals the
+    # estimate, and a loose atol lets the pass "converge" on it
+    peak = lambda x: np.exp(-(((x - 0.5) / 1e-6) ** 2))  # noqa: E731
+    with pytest.raises(QuadratureError, match="not below its largest"):
+        _cubature(peak, 0.0, 1.0, "peak", atol=1.0)
 
 
 # ----------------------------------------------------------------- mellin
@@ -395,15 +467,16 @@ def test_mellin_convolution_theorem():
 
 
 def test_mellin_parseval():
-    lhs, rhs = mellin_parseval_check(
-        lambda t: np.exp(-t),
-        lambda t: np.exp(-2.0 * t),
-        omega=1.5,
-        c=0.75,
-        T=80.0,
-        Mf=lambda s: gamma(s),
-        Mg=lambda s: 2.0 ** (-s) * gamma(s),
-    )
+    # M{f g}(omega) = (1/2 pi i) int_{c - i inf}^{c + i inf} M{f}(omega - s) M{g}(s) ds
+    # with f = e^{-t}, g = e^{-2t}: M{f} = Gamma, M{g}(s) = 2^{-s} Gamma(s)
+    omega, c = 1.5, 0.75
+    lhs = mellin_transform(lambda t: np.exp(-t) * np.exp(-2.0 * t), omega)
+
+    def contour(tau):
+        s = complex(c, tau)
+        return gamma(omega - s) * 2.0 ** (-s) * gamma(s)
+
+    rhs = quad(contour, -80.0, 80.0, limit=800, complex_func=True)[0] / (2.0 * np.pi)
     assert abs(lhs - rhs) < 1e-8
 
 

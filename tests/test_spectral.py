@@ -12,11 +12,9 @@ from dfplattice.spectral import (
     dft_forward,
     dft_inverse,
     momentum_sesquilinear,
-    refine_field,
-    restrict_field,
 )
 
-from oracles import convolve_direct, dft_forward_direct, whole_array_transform
+from oracles import convolve_direct, dft_forward_direct, refine_field, restrict_field, whole_array_transform
 
 
 def random_field(spec, rng):
