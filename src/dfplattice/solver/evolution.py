@@ -17,6 +17,8 @@ xi = 0, which is what preserves the quasi-probability normalization.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -162,6 +164,19 @@ def _stability_radius(spec: GridSpec, params: ModelParams, t_start: float, t_end
 STEPPED_STATE_CAP = 1024
 
 
+@lru_cache(maxsize=2)  # at the cap each matrix is 16 MB
+def _generator(spec: GridSpec):
+    """The RK4 twin's generator as dense matrices of ``dirac_apply`` and the stencil
+    ``laplacian_apply``: column k is the operator applied to the k-th unit field, in
+    the C order of ``Field.values``.  Read-only, as the cache hands them to every caller."""
+    shape = (spec.nblades,) + spec.site_shape
+    units = [Field(spec, e.reshape(shape), _copy=False) for e in np.eye(math.prod(shape), dtype=complex)]
+    dirac = np.stack([dirac_apply(u).values.ravel() for u in units], axis=1)
+    lap = np.stack([laplacian_apply(u, "stencil").values.ravel() for u in units], axis=1)
+    dirac.flags.writeable = lap.flags.writeable = False
+    return dirac, lap
+
+
 def dfp_evolve_stepped(
     phi0: Field,
     t: float,
@@ -173,11 +188,11 @@ def dfp_evolve_stepped(
 
     The right-hand side i mu D v + sigma2 H t^{2H-1} L v multiplies by the
     matrices of ``dirac_apply`` and the stencil ``laplacian_apply``, built
-    from unit fields.  For hurst < 1/2 the coefficient t^{2H-1} blows up at
-    0, so the march starts at ``t_start`` > 0 (default 1e-2) from the spectral
-    solution and only the (regular) remainder is stepped.  Raises when the
-    step count is below the explicit stability requirement or the state has
-    more than ``STEPPED_STATE_CAP`` entries.
+    from unit fields once per grid.  For hurst < 1/2 the coefficient
+    t^{2H-1} blows up at 0, so the march starts at ``t_start`` > 0 (default
+    1e-2) from the spectral solution and only the (regular) remainder is
+    stepped.  Raises when the step count is below the explicit stability
+    requirement or the state has more than ``STEPPED_STATE_CAP`` entries.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -198,12 +213,8 @@ def dfp_evolve_stepped(
         )
     state = phi0 if t_start == 0.0 else dfp_evolve(phi0, t_start, params)
     vals = state.values.ravel()
-
-    # the generator as dense matrices: column k is the operator applied to the
-    # k-th unit field, in the C order of ``Field.values``
-    units = [Field(spec, e.reshape(shape), _copy=False) for e in np.eye(vals.size, dtype=complex)]
-    drift = 1j * params.mu * np.stack([dirac_apply(u).values.ravel() for u in units], axis=1)
-    lap = np.stack([laplacian_apply(u, "stencil").values.ravel() for u in units], axis=1)
+    dirac, lap = _generator(spec)
+    drift = 1j * params.mu * dirac
     expo = 2.0 * params.hurst - 1.0
 
     def rhs(tc: float, v: np.ndarray) -> np.ndarray:

@@ -22,7 +22,12 @@ m >= 1 in blocks of ``_BLOCK`` for the elements of a slab at once.  Slabs
 hold at most ``_SLAB`` elements, which bounds the block arrays whatever the
 size of the call; each block's coefficients are built once per parameter
 set that an unfinished element of the slab still uses, as a (terms x sets)
-array, and gathered per element.
+array, and gathered per element.  A scalar row stays one value on a
+parameter axis, so its share of a block is one (terms x 1) column.  The
+slabs of one call are summed on a thread pool of one thread per CPU the
+process may run on, at most DFP_THREADS (inline for one CPU or one slab),
+made and joined within the call; slabs write disjoint elements, so the
+bits do not depend on the thread count.
 
 * Coefficient rule, chosen per element.  When every row (v, w) has real
   v > 0 and a positive-integer weight w, and the element's lam is real,
@@ -59,6 +64,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
+from .._cpus import cpus
 from .gammafn import DomainError, gamma, log_gamma, recip_gamma
 
 __all__ = [
@@ -228,8 +234,9 @@ def _cached_coefficients(params: FoxWrightParams, start: int, stop: int, exact: 
 def _block_coefficients(params: FoxWrightParams, rows, col, start: int, stop: int, exact: bool):
     """``_coefficients`` with one column per element: element j has set ``col[j]`` of ``rows``.
 
-    ``rows`` holds the (upper, lower) rows of the slab's parameter sets as
-    1-d arrays; scalar rows (``rows`` None) return their one cached column.
+    ``rows`` holds the (upper, lower) rows of the slab's parameter sets, as
+    1-d arrays or, for a scalar row, the scalar; when every row is scalar
+    (``rows`` None) the one cached column is returned.
     """
     if rows is None:
         return _cached_coefficients(params, start, stop, exact)
@@ -240,12 +247,12 @@ def _block_coefficients(params: FoxWrightParams, rows, col, start: int, stop: in
 def _narrow(rows, col):
     """The rows of the parameter sets that ``col`` uses, and ``col`` renumbered among them.
 
-    Scalar rows (``rows`` None) pass through unchanged.
+    Scalar rows, and ``rows`` None when every row is scalar, pass through unchanged.
     """
     if rows is None:
         return None, col
     sets, col = np.unique(col, return_inverse=True)
-    return tuple(tuple((v[sets], w) for v, w in part) for part in rows), col
+    return tuple(tuple((v if np.ndim(v) == 0 else v[sets], w) for v, w in part) for part in rows), col
 
 
 def _sum_series(params: FoxWrightParams, lam: np.ndarray, pid: np.ndarray, max_terms: int):
@@ -262,11 +269,11 @@ def _sum_series(params: FoxWrightParams, lam: np.ndarray, pid: np.ndarray, max_t
         w == int(w) and w > 0 and np.all(np.imag(v) == 0.0) and np.all(np.real(v) > 0.0)
         for v, w in params.upper + params.lower
     )
-    # the rows over the flattened parameter axis, or None for scalar rows
+    # the rows over the flattened parameter axis, a scalar row kept scalar; None when every row is scalar
     flat = None
     if params.shape:
         flat = tuple(
-            tuple((np.broadcast_to(v, params.shape).reshape(-1), w) for v, w in part)
+            tuple((v if np.ndim(v) == 0 else np.broadcast_to(v, params.shape).reshape(-1), w) for v, w in part)
             for part in (params.upper, params.lower)
         )
     value = np.empty(lam.shape, dtype=complex)
@@ -281,26 +288,39 @@ def _sum_series(params: FoxWrightParams, lam: np.ndarray, pid: np.ndarray, max_t
         value[idx], converged[idx], cancellation[idx] = res[:3]
         return res[3], idx[res[4]]
 
-    terms_used = 1
-    for lo in range(0, lam.size, _SLAB):
+    def slab(lo):
+        """Sum the elements lo..lo + _SLAB - 1 into the outputs; returns the most terms one took."""
         logs = np.arange(lo, min(lo + _SLAB, lam.size))
+        terms = 1
         if exact_rows:
             # the rule is chosen per element, so no element depends on what shares its call:
             # exact ratios at a real lam, log-Gammas otherwise and where the ratio terms overflow
             real = lam[logs].imag == 0.0
             terms, redo = sum_into(logs[real], True)
             logs = np.concatenate((logs[~real], redo))
-            terms_used = max(terms_used, terms)
-        terms_used = max(terms_used, sum_into(logs, False)[0])
-    return value, converged, cancellation, terms_used
+        return max(terms, sum_into(logs, False)[0])
+
+    # slabs write disjoint elements, so the thread count moves no bit; a pool per call leaves
+    # no thread behind, and map returns, or raises the first failing slab's error, in slab order
+    starts = range(0, lam.size, _SLAB)
+    threads = min(cpus(), len(starts))
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # its import costs about 7 ms; a one-slab call needs none
+
+        with ThreadPoolExecutor(threads) as pool:
+            terms = list(pool.map(slab, starts))
+    else:
+        terms = list(map(slab, starts))
+    return value, converged, cancellation, max(terms, default=1)
 
 
 def _sum_slab(params, flat, lam, t0, pid, exact, max_terms):
     """Sum one slab's elements under one coefficient rule.
 
     ``t0`` is each element's m = 0 term and ``pid`` its index on the
-    flattened parameter axis, whose rows are ``flat`` (None for scalar rows).
-    Block coefficients are built for the sets of unfinished elements only.
+    flattened parameter axis, whose rows are ``flat`` (None when every row
+    is scalar).  Block coefficients are built for the sets of unfinished
+    elements only.
     Returns the value, converged flag and cancellation per element, the
     terms taken, and a mask of the elements whose exact-ratio terms left the
     double range: those are left unsummed, to be summed with log-Gammas.

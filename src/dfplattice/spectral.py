@@ -31,11 +31,7 @@ __all__ = [
     "dft_inverse",
     "momentum_sesquilinear",
     "convolve",
-    "CONVOLUTION_CONSTANT_POWER",
 ]
-
-# F[K * f] = (2 pi)^(n/2) FK Ff; the exponent is per dimension
-CONVOLUTION_CONSTANT_POWER = 0.5
 
 
 class MomentumField(_GridData):
@@ -115,7 +111,6 @@ def convolve(K: Field, f: Field) -> Field:
     spec = K.spec
     FK = dft_forward(K)
     Ff = dft_forward(f)
-    const = (2.0 * np.pi) ** (spec.n * CONVOLUTION_CONSTANT_POWER)
     prod = geometric_product_arrays(FK.values, Ff.values, spec.n)
-    prod *= const
+    prod *= (2.0 * np.pi) ** (spec.n * 0.5)  # F[K * f] = (2 pi)^(n/2) FK Ff
     return dft_inverse(MomentumField(spec, prod, _copy=False))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfplattice.lattice import Field, GridSpec, delta_h, mass, normalization_check
-from dfplattice.operators import apply_dirac_symbol_arrays, symbol_tables
+from dfplattice.operators import apply_dirac_symbol_arrays, dirac_apply, laplacian_apply, symbol_tables
 from dfplattice.specfun import DomainError, bessel_i_scaled, fox_wright, levy_laplace
 from dfplattice.spectral import convolve
 from dfplattice.solver import (
@@ -171,6 +171,27 @@ def test_stepped_oracle_two_dimensional_all_blades():
     exact = dfp_evolve(phi0, 0.5, pr)
     stepped = dfp_evolve_stepped(phi0, 0.5, pr, steps=400)
     assert stepped.sup_diff(exact) / exact.sup_norm() < 1e-6
+
+
+def test_stepped_oracle_builds_its_generator_once_per_grid():
+    from dfplattice.solver.evolution import _generator
+
+    spec = GridSpec(1, 1.0, Fraction(1, 4), 8)
+    phi0 = random_field(spec, np.random.default_rng(5))
+    pr = ModelParams(mu=1.0, sigma2=1.0, hurst=0.5)
+    _generator.cache_clear()
+    first = dfp_evolve_stepped(phi0, 0.3, pr, steps=50)
+    again = dfp_evolve_stepped(phi0, 0.3, pr, steps=50)
+    assert _generator.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert np.array_equal(first.values, again.values)
+    dirac, lap = _generator(spec)
+    assert not dirac.flags.writeable and not lap.flags.writeable
+    # column k is the operator on the k-th unit field
+    unit = np.zeros(dirac.shape[1], dtype=complex)
+    unit[5] = 1.0
+    unit_field = Field(spec, unit.reshape(phi0.values.shape))
+    assert np.array_equal(dirac[:, 5], dirac_apply(unit_field).values.ravel())
+    assert np.array_equal(lap[:, 5], laplacian_apply(unit_field, "stencil").values.ravel())
 
 
 def test_stepped_oracle_refuses_states_above_cap():
