@@ -6,10 +6,7 @@ k1..kn,mask,re,im plus a JSON manifest; runs are fully deterministic
 (identical config => identical bytes).  Config precedence: JSON config file
 below command-line flags.  DFP_THREADS caps the numeric thread pools and is
 applied before the numeric stack loads; it also caps the processes the CSV
-writer forks to format a large output (see :mod:`dfplattice.fieldio`) and
-the threads the Fox-Wright series driver sums its slabs on (see
-:mod:`dfplattice.specfun.wright`).  No output bit depends on those two
-counts.
+writer forks to format a large output (see :mod:`dfplattice.fieldio`).
 """
 
 from __future__ import annotations

@@ -39,7 +39,6 @@ from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._cpus import cpus
 from .clifford import live_blades
 from .lattice import Field, GridSpec
 from .spectral import MomentumField
@@ -110,7 +109,11 @@ def _field_rows(field: Union[Field, MomentumField]) -> List[Tuple]:
 
 def _processes() -> int:
     """Processes the CSV writer may use: the CPUs this process may run on, at most DFP_THREADS."""
-    return cpus() if hasattr(os, "fork") else 1
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    cap = os.environ.get("DFP_THREADS", "")
+    return max(1, min(cpus, int(cap))) if cap.isdigit() else cpus
 
 
 def _write_span(fh, lo: int, hi: int, columns: Callable[[int, int], list]) -> None:

@@ -23,11 +23,7 @@ hold at most ``_SLAB`` elements, which bounds the block arrays whatever the
 size of the call; each block's coefficients are built once per parameter
 set that an unfinished element of the slab still uses, as a (terms x sets)
 array, and gathered per element.  A scalar row stays one value on a
-parameter axis, so its share of a block is one (terms x 1) column.  The
-slabs of one call are summed on a thread pool of one thread per CPU the
-process may run on, at most DFP_THREADS (inline for one CPU or one slab),
-made and joined within the call; slabs write disjoint elements, so the
-bits do not depend on the thread count.
+parameter axis, so its share of a block is one (terms x 1) column.
 
 * Coefficient rule, chosen per element.  When every row (v, w) has real
   v > 0 and a positive-integer weight w, and the element's lam is real,
@@ -64,7 +60,6 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .._cpus import cpus
 from .gammafn import DomainError, gamma, log_gamma, recip_gamma
 
 __all__ = [
@@ -288,30 +283,18 @@ def _sum_series(params: FoxWrightParams, lam: np.ndarray, pid: np.ndarray, max_t
         value[idx], converged[idx], cancellation[idx] = res[:3]
         return res[3], idx[res[4]]
 
-    def slab(lo):
-        """Sum the elements lo..lo + _SLAB - 1 into the outputs; returns the most terms one took."""
+    terms_used = 1
+    for lo in range(0, lam.size, _SLAB):
         logs = np.arange(lo, min(lo + _SLAB, lam.size))
-        terms = 1
         if exact_rows:
             # the rule is chosen per element, so no element depends on what shares its call:
             # exact ratios at a real lam, log-Gammas otherwise and where the ratio terms overflow
             real = lam[logs].imag == 0.0
             terms, redo = sum_into(logs[real], True)
             logs = np.concatenate((logs[~real], redo))
-        return max(terms, sum_into(logs, False)[0])
-
-    # slabs write disjoint elements, so the thread count moves no bit; a pool per call leaves
-    # no thread behind, and map returns, or raises the first failing slab's error, in slab order
-    starts = range(0, lam.size, _SLAB)
-    threads = min(cpus(), len(starts))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # its import costs about 7 ms; a one-slab call needs none
-
-        with ThreadPoolExecutor(threads) as pool:
-            terms = list(pool.map(slab, starts))
-    else:
-        terms = list(map(slab, starts))
-    return value, converged, cancellation, max(terms, default=1)
+            terms_used = max(terms_used, terms)
+        terms_used = max(terms_used, sum_into(logs, False)[0])
+    return value, converged, cancellation, terms_used
 
 
 def _sum_slab(params, flat, lam, t0, pid, exact, max_terms):

@@ -191,18 +191,6 @@ def test_streamed_blocks_match_sorting_oracle(monkeypatch, n, N, momentum):
     assert header_only.getvalue() == ",".join(["k1", "k2", "k3"][:n] + ["mask", "re", "im"]) + "\n"
 
 
-def test_worker_count_is_capped_by_dfp_threads(monkeypatch):
-    from dfplattice._cpus import cpus
-
-    monkeypatch.delenv("DFP_THREADS", raising=False)
-    allowed = cpus()
-    assert allowed == len(os.sched_getaffinity(0))
-    for cap, want in [("1", 1), ("0", 1), (str(allowed + 5), allowed), ("", allowed), ("two", allowed)]:
-        monkeypatch.setenv("DFP_THREADS", cap)
-        assert cpus() == want
-        assert fieldio._processes() == want
-
-
 class _CountingSink:
     """A text handle that keeps only the number of characters written to it."""
 

@@ -1,7 +1,3 @@
-import sys
-import threading
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -250,46 +246,6 @@ def test_fox_wright_scalar_row_is_not_broadcast(monkeypatch):
     monkeypatch.setattr(wright, "log_gamma", recording)
     fox_wright_eval(*_mellin_barnes_rows())
     assert shapes and all(shape == (wright._BLOCK, 1) for shape in shapes)
-
-
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_fox_wright_thread_count_moves_no_bit(monkeypatch, threads):
-    from dfplattice.lattice import GridSpec
-    from dfplattice.solver import ModelParams, mellin_barnes_kernel
-    from dfplattice.specfun import wright
-
-    n = wright._SLAB + 37
-    rng = np.random.default_rng(8)
-    lam = rng.uniform(-1.4, 1.4, n) + 1j * rng.uniform(-1.4, 1.4, n)
-    a = rng.uniform(0.2, 1.5, n) + 1j * rng.uniform(-20.0, 20.0, n)
-    pole = a.copy()
-    pole[wright._SLAB + 5] = -0.5  # a + m / 2 hits the pole 0 at m = 1, in the second slab
-    spec = GridSpec(1, 1.0, Fraction(1, 4), 16)
-
-    def calls():
-        slabs = fox_wright_eval(FoxWrightParams(((a, 1.25),), ((0.5, 1.0),)), lam)
-        mb = fox_wright_eval(*_mellin_barnes_rows())
-        kernel = mellin_barnes_kernel((3,), 0.5, spec, ModelParams(1.0, 1.0, 0.8), 1)
-        with pytest.raises(DomainError, match="pole") as err:
-            fox_wright_eval(FoxWrightParams(((pole, 0.5),), ((0.5, 1.0),)), lam)
-        return slabs, mb, kernel, str(err.value)
-
-    monkeypatch.setattr(wright, "cpus", lambda: 1)
-    want = calls()
-    monkeypatch.setattr(wright, "cpus", lambda: threads)
-    before, interval = threading.active_count(), sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, so that a lost update would show
-    try:
-        got = calls()
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == before
-    for g, w in zip(got[:2], want[:2]):
-        assert np.array_equal(g.value, w.value)
-        assert np.array_equal(g.cancellation, w.cancellation)
-        assert np.array_equal(g.status, w.status)
-        assert g.terms_used == w.terms_used
-    assert got[2:] == want[2:]
 
 
 def test_fox_wright_rule_is_chosen_per_element():
