@@ -274,5 +274,5 @@ def field_from_json(doc: dict):
 
 
 def dumps_json(doc: dict) -> str:
-    """Deterministic JSON encoding (sorted keys, no whitespace drift)."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON encoding (sorted keys, no whitespace drift); NaN or infinity raises ValueError."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -27,7 +27,7 @@ class GridSpec:
     """Periodic truncation of the fractional lattice.
 
     n     spatial dimension (1..3)
-    h     lattice spacing, > 0
+    h     lattice spacing, finite and > 0
     alpha exact rational in [0, 1/2]; 0 and 1/2 are admitted limit cases
     N     sites per axis, even and >= 4
     """
@@ -40,8 +40,8 @@ class GridSpec:
     def __post_init__(self):
         if not 1 <= self.n <= 3:
             raise ValueError("dimension n must be 1, 2 or 3")
-        if not self.h > 0:
-            raise ValueError("spacing h must be positive")
+        if not 0 < self.h < np.inf:
+            raise ValueError(f"spacing h must be finite and positive, got {self.h}")
         if not isinstance(self.alpha, Fraction):
             object.__setattr__(self, "alpha", Fraction(self.alpha))
         if not 0 <= self.alpha <= Fraction(1, 2):

@@ -14,7 +14,6 @@ from .evolution import (
 )
 from .kernels import (
     MellinBarnesResult,
-    default_contour_abscissa,
     kernel_mellin_identity,
     kg_kernel,
     kg_kernel_mellin,
@@ -36,7 +35,6 @@ __all__ = [
     "kernel_mellin_identity",
     "mellin_barnes_kernel",
     "MellinBarnesResult",
-    "default_contour_abscissa",
     "levy_subordination_check",
     "levy_subordination_modewise",
     "QuadratureError",

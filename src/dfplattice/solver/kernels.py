@@ -35,6 +35,7 @@ import numpy as np
 from ..lattice import Field, GridSpec
 from ..operators import laplacian_symbol, symbol_tables
 from ..specfun import DomainError, FoxWrightParams, fox_wright, mellin_transform
+from ..specfun.mellin import _contour
 from .evolution import _delta_kernel, _require_time, trig_factors
 from .params import ModelParams
 
@@ -44,11 +45,8 @@ __all__ = [
     "kernel_mellin_identity",
     "mellin_barnes_kernel",
     "MellinBarnesResult",
-    "default_contour_abscissa",
 ]
 
-_PANEL_WIDTH = 0.5  # Gauss panel width in tau
-_PANEL_SLIVER = 1e-12  # a last panel narrower than this is dropped; T must exceed it
 _TAIL_TOL = 1e-6  # a larger tail bound makes the status "tail-warning"
 
 
@@ -102,11 +100,6 @@ def kg_kernel(spec: GridSpec, t: float, params: ModelParams, beta: int, route: s
     _require_time(t)
     mult = _kernel_multiplier(symbol_tables(spec).d2, t, spec, params, beta, route)
     return Field.from_blade_array(spec, 0, _delta_kernel(spec, mult))
-
-
-def default_contour_abscissa(params: ModelParams, beta: int) -> float:
-    """Midway placement H - beta/2 inside the strip Re omega > -beta."""
-    return params.hurst - 0.5 * beta
 
 
 def _mellin_mode_multiplier(d2, omega, params: ModelParams, c0: float, beta: int):
@@ -187,11 +180,13 @@ def mellin_barnes_kernel(
     """Reconstruct K_beta(site, t) by vertical-contour Mellin inversion.
 
     Integrates (1/2 pi) M{K_beta(site,.)}(c + i tau) t^{-c-i tau} over
-    tau in [-T, T] with composite Gauss panels.  The 1Psi1 series of every
-    (contour node, distinct d2) pair is summed in one Fox-Wright call over
-    the node axis, so each series still reports its own cancellation; panel
-    weights and t^{-omega} contract it to one multiplier per mode, and the
-    site is read from its inverse transform.  The integrand decays like
+    tau in [-T, T] with the contour rule of :func:`mellin_inverse`
+    (composite Gauss panels); c defaults to H - beta/2, midway inside the
+    strip Re omega > -beta.  The 1Psi1 series of every (contour node,
+    distinct d2) pair is summed in one Fox-Wright call over the node axis,
+    so each series still reports its own cancellation; panel weights and
+    t^{-omega} contract it to one multiplier per mode, and the site is read
+    from its inverse transform.  The integrand decays like
     exp(-pi |tau| / (4H)) through the Gamma factors; the reported tail bound
     extrapolates that decay from the site magnitude at the edge panels.
     t, T and c must be finite and T > 1e-12 (ValueError).
@@ -199,30 +194,24 @@ def mellin_barnes_kernel(
     beta = _check_beta(beta)
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    if not (np.isfinite(T) and T > _PANEL_SLIVER):
-        raise ValueError(f"T must be finite and above {_PANEL_SLIVER}, got {T}")
-    if c is not None and not np.isfinite(c):
-        raise ValueError(f"c must be finite, got {c}")
+    c = params.hurst - 0.5 * beta if c is None else c
+    omega, weights = _contour(c, T)
     if t == 0.0 and beta == 1:
         # the sine kernel vanishes identically at t = 0
         return MellinBarnesResult(0.0 + 0.0j, 0.0, "ok")
     if t <= 0.0:
         raise ValueError("contour reconstruction needs t > 0")
-    if c is None:
-        c = default_contour_abscissa(params, beta)
     _check_mellin_args(spec, params, beta, c)
     if len(site) != spec.n:
         raise ValueError(f"site {tuple(site)} needs {spec.n} coordinates")
 
     d2, modes = np.unique(symbol_tables(spec).d2, return_inverse=True)
-    lo = np.arange(-T, T - _PANEL_SLIVER, _PANEL_WIDTH)  # panel starts; the last panel ends at T
-    half = 0.5 * (np.minimum(lo + _PANEL_WIDTH, T) - lo)[:, None]
-    nodes, weights = np.polynomial.legendre.leggauss(12)
-    omega = (c + 1j * (lo[:, None] + half * (nodes + 1.0))).reshape(-1, 1)
+    panel = omega.shape[1]
+    omega = omega.reshape(-1, 1)
     # one series call over (contour nodes x distinct d2), each node times t^{-omega}
     vals = _mellin_mode_multiplier(d2, omega, params, _damping_constant(spec, params), beta) * t ** (-omega)
     # multipliers per d2: the contour sum, then the nodes of the first and the last panel
-    rows = np.vstack(((half * weights).reshape(1, -1) @ vals, vals[: nodes.size], vals[-nodes.size :]))
+    rows = np.vstack((weights.reshape(1, -1) @ vals, vals[:panel], vals[-panel:]))
     kernels = _delta_kernel(spec, rows[:, modes.reshape(spec.site_shape)])
     at_site = kernels[(slice(None),) + tuple(int(k) % spec.N for k in site)]
     value = at_site[0] / (2.0 * np.pi)

@@ -6,7 +6,7 @@ package relies on: ``gamma`` raises at the poles, ``recip_gamma`` is entire
 and returns exact zeros there (series over reciprocal Gammas then drop pole
 terms automatically).  Every ``scipy.integrate.cubature`` pass in the
 package runs through :func:`_cubature`, which returns an estimate only if
-the pass converged to it.
+the pass converged to it.  A non-finite argument raises DomainError.
 """
 
 from __future__ import annotations
@@ -45,14 +45,21 @@ def _is_nonpositive_integer(s):
     return (s.imag == 0.0) & (s.real <= 0.0) & (s.real == np.floor(s.real))
 
 
+def _require_finite(x: np.ndarray, what: str) -> np.ndarray:
+    """``x`` itself; a NaN or infinite entry raises DomainError."""
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"{what} must be finite")
+    return x
+
+
 def _as_result(out):
     """A complex for 0-d input, the array otherwise."""
     return complex(out) if out.ndim == 0 else out
 
 
 def gamma(s):
-    """Gamma(s) for a complex s or an array of them; poles at nonpositive integers raise."""
-    s = np.asarray(s, dtype=complex)
+    """Gamma(s) for a finite complex s or an array of them; poles at nonpositive integers raise."""
+    s = _require_finite(np.asarray(s, dtype=complex), "gamma argument s")
     pole = _is_nonpositive_integer(s)
     if pole.any():
         raise DomainError(f"gamma pole at s = {complex(s[pole][0])}")
@@ -62,10 +69,10 @@ def gamma(s):
 
 
 def recip_gamma(s):
-    """1/Gamma(s) for a complex s or an array of them, entire; exact zeros at the poles of Gamma."""
+    """1/Gamma(s) for a finite complex s or an array of them, entire; exact zeros at the poles of Gamma."""
     from scipy.special import rgamma
 
-    s = np.asarray(s, dtype=complex)
+    s = _require_finite(np.asarray(s, dtype=complex), "recip_gamma argument s")
     return _as_result(np.where(_is_nonpositive_integer(s), 0.0, rgamma(s)))
 
 

@@ -60,7 +60,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .gammafn import DomainError, gamma, log_gamma, recip_gamma
+from .gammafn import DomainError, _require_finite, gamma, log_gamma, recip_gamma
 
 __all__ = [
     "FoxWrightParams",
@@ -91,7 +91,7 @@ def _row_value(v):
 
 @dataclass(frozen=True)
 class FoxWrightParams:
-    """Parameter rows (a_k, A_k) over (b_l, B_l); weights must be nonzero.
+    """Parameter rows (a_k, A_k) over (b_l, B_l); values and weights finite, weights nonzero.
 
     A row value a_k or b_l may be an array: the rows then broadcast to a
     parameter axis of shape ``shape``, which in turn broadcasts against lam.
@@ -105,6 +105,8 @@ class FoxWrightParams:
     def __post_init__(self):
         up = tuple((_row_value(a), float(A)) for a, A in self.upper)
         lo = tuple((_row_value(b), float(B)) for b, B in self.lower)
+        for v, w in up + lo:
+            _require_finite(np.append(v, w), "Fox-Wright row")
         if any(A == 0.0 for _, A in up) or any(B == 0.0 for _, B in lo):
             raise ValueError("Fox-Wright weights must be nonzero")
         object.__setattr__(self, "upper", up)
@@ -378,7 +380,7 @@ def fox_wright_eval(
 
     Array rows broadcast against lam; the result has the broadcast shape.
     """
-    lam = np.asarray(lam, dtype=complex)
+    lam = _require_finite(np.asarray(lam, dtype=complex), "Fox-Wright argument lam")
     # each element's index on the flattened parameter axis (0 for scalar rows)
     lam, pid = np.broadcast_arrays(lam, np.arange(math.prod(params.shape)).reshape(params.shape))
     shape = lam.shape
@@ -403,14 +405,14 @@ def mittag_leffler(rho: float, beta: float, lam: complex) -> complex:
 
 
 def bessel_i_scaled(k, z):
-    """Exponentially scaled modified Bessel e^{-z} I_k(z), integer order, z >= 0.
+    """Exponentially scaled modified Bessel e^{-z} I_k(z), integer order, finite z >= 0.
 
     Scalars give a float; integer arrays of orders (or arrays of z)
     broadcast to an array.
     """
     from scipy.special import ive
 
-    z = np.asarray(z, dtype=float)
+    z = _require_finite(np.asarray(z, dtype=float), "bessel_i_scaled argument z")
     if np.any(z < 0):
         raise DomainError("bessel_i_scaled requires z >= 0")
     out = ive(np.abs(np.asarray(k, dtype=int)), z)  # |k|: I_{-k} = I_k exactly

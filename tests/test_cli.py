@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -388,13 +389,41 @@ def test_input_csv_non_finite_exit_code(tmp_path, capsys, command, value, part):
     assert f"{path}: blade 2 at site 3 has the non-finite value" in err
 
 
-def test_subordinate_long_time_miss_exit_code(capsys):
-    code, out, err = run_cli(
-        ["subordinate", "--points", "16", "--sigma2", "3", "--hurst", "0.7", "--t", "25"], capsys
+def test_subordinate_long_time_miss_exit_code(tmp_path, capsys):
+    # at t = 25 the old sitewise head pass missed the integrand's peak and exited 1;
+    # the one levy_laplace weight meets the identity
+    out = tmp_path / "sub.csv"
+    code, _, err = run_cli(
+        ["subordinate", "--points", "16", "--sigma2", "3", "--hurst", "0.7", "--t", "25", "--out", str(out)], capsys
     )
+    assert code == 0, err
+    manifest = json.loads((tmp_path / "sub.csv.manifest.json").read_text())
+    assert manifest["sitewise_rel_err"] <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["specfun", "--fn", "gamma", "--s", "nan"],
+        ["specfun", "--fn", "recip-gamma", "--s", "inf"],
+        ["specfun", "--fn", "bessel-i-scaled", "--k", "0", "--z", "nan"],
+        ["specfun", "--fn", "bessel-i-scaled", "--k", "0", "--z", "inf"],
+        ["specfun", "--fn", "wright", "--upper", "[]", "--lower", "[[0.5, 1]]", "--lambda", "nan"],
+        ["specfun", "--fn", "wright", "--upper", "[[NaN, 1]]", "--lower", "[[0.5, 1]]", "--lambda", "1"],
+        ["specfun", "--fn", "mittag-leffler", "--rho", "1", "--beta", "1", "--lambda", "inf"],
+        ["specfun", "--fn", "levy-laplace", "--nu", "0.7", "--s-real", "inf"],
+        ["kernel", "--points", "4", "--h", "inf", "--t", "0.5"],
+    ],
+    ids=["gamma-nan", "recip-gamma-inf", "bessel-nan", "bessel-inf", "wright-lam-nan", "wright-row-nan",
+         "mittag-leffler-inf", "levy-laplace-inf", "kernel-h-inf"],
+)
+def test_non_finite_argument_exit_code(capsys, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic warns
+        code, out, err = run_cli(args, capsys)
     assert code == 1
     assert out == ""
-    assert "is not below its largest |estimate|" in err
+    assert "must be finite" in err
 
 
 def test_manifest_names_input_only_when_read(tmp_path, capsys):

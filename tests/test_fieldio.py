@@ -76,6 +76,12 @@ def test_csv_header_mismatch_raises():
         read_field_csv(buf, spec2)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_dumps_json_refuses_non_finite(value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        fieldio.dumps_json({"value": value})
+
+
 def test_json_roundtrip():
     rng = np.random.default_rng(1)
     spec = GridSpec(1, 0.25, Fraction(2, 5), 8)

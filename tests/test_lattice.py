@@ -30,6 +30,12 @@ def test_gridspec_validation():
         GridSpec(1, 1.0, Fraction(1, 4), 2)
 
 
+@pytest.mark.parametrize("h", [np.inf, np.nan])
+def test_gridspec_refuses_non_finite_spacing(h):
+    with pytest.raises(ValueError, match="spacing h must be finite"):
+        GridSpec(1, h, Fraction(1, 4), 8)
+
+
 def test_momentum_nodes_in_zone():
     spec = GridSpec(1, 0.5, Fraction(1, 4), 8)
     xi = spec.xi_axis()

@@ -1,3 +1,7 @@
+import ast
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -22,12 +26,15 @@ from dfplattice.specfun import (
     levy_pdf_eval,
     log_gamma,
     mellin_convolve,
+    mellin_inverse,
     mellin_transform,
     mittag_leffler,
     recip_gamma,
     wright_cos,
     wright_sinc,
 )
+from dfplattice.lattice import GridSpec
+from dfplattice.operators import symbol_tables
 from dfplattice.specfun.gammafn import _cubature
 from oracles import fox_wright_partial_sum, hartman_watson_theta_loop, levy_half_pdf
 
@@ -50,6 +57,28 @@ def test_recip_gamma_poles():
     assert recip_gamma(-3.0) == 0.0
     assert recip_gamma(-7) == 0.0
     assert recip_gamma(2.0) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gamma(np.nan),
+        lambda: gamma(np.array([1.0, complex(0.5, np.inf)])),
+        lambda: recip_gamma(np.inf),
+        lambda: bessel_i_scaled(1, np.nan),
+        lambda: bessel_i_scaled(np.array([0, 1]), np.array([1.0, np.inf])),
+        lambda: FoxWrightParams(((np.nan, 1.0),), ()),
+        lambda: FoxWrightParams((), ((0.5, np.inf),)),
+        lambda: FoxWrightParams((), ((np.array([0.5, np.nan]), 1.0),)),
+        lambda: fox_wright_eval(FoxWrightParams((), ((0.5, 1.0),)), np.nan),
+        lambda: fox_wright_eval(FoxWrightParams((), ((0.5, 1.0),)), np.array([1.0, -np.inf])),
+        lambda: levy_laplace(0.7, np.inf),
+        lambda: levy_laplace(0.7, np.array([1.0, np.nan])),
+    ],
+)
+def test_non_finite_arguments_raise(call):
+    with pytest.raises(DomainError, match="must be finite"):
+        call()
 
 
 def test_gamma_pole_raises():
@@ -360,10 +389,30 @@ def test_levy_laplace_exp_minus_one():
     assert vals[0, 0] == 1.0
     assert vals[1, 0] == pytest.approx(0.36787944117144233, rel=1e-8)
     assert np.allclose(vals, np.exp(-(s**0.7)), rtol=1e-8, atol=0.0)
-    # the contract is absolute: 1.543e-18 for e^{-200^0.7} = 1.898e-18 is inside atol 1e-12
+    # an entry far below 1e-12 is also within 1e-12 absolute
     assert abs(levy_laplace(0.7, 200.0) - np.exp(-(200.0**0.7))) <= 1e-12
     with pytest.raises(DomainError):
         levy_laplace(0.7, np.array([1.0, -1e-3]))
+
+
+def test_levy_laplace_is_relative_at_a_scalar():
+    # the absolute atol 1e-12 returned 1.543e-18 for e^{-200^0.7} = 1.898e-18
+    want = np.exp(-(200.0**0.7))
+    assert abs(levy_laplace(0.7, 200.0) / want - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [12.0, 20.0, 30.0])
+def test_levy_laplace_is_relative_near_its_largest_entry(t):
+    # the modewise weights of a 2D N=8 grid at sigma2 = 3: the largest positive-s entry is
+    # below 1e-12, where an absolute atol 1e-12 left relative errors up to 0.12, 0.24 and 0.45
+    d2 = symbol_tables(GridSpec(2, 1.0, Fraction(1, 4), 8)).d2
+    s = (0.5 * 3.0 * d2) ** (1.0 / 0.7) * t * t
+    got, want = levy_laplace(0.7, s), np.exp(-(s**0.7))
+    pos = s > 0.0
+    assert np.all(got[~pos] == 1.0)
+    near = pos & (want >= 1e-12 * want[pos].max())
+    assert near.sum() >= 4
+    assert np.max(np.abs(got[near] / want[near] - 1.0)) <= 1e-11
 
 
 def test_levy_total_mass():
@@ -475,6 +524,29 @@ def test_cubature_error_not_below_its_estimate_raises():
         _cubature(peak, 0.0, 1.0, "peak", atol=1.0)
 
 
+# ------------------------------------------------ one evaluator per integral
+
+def _calls_by_enclosing_function(name: str) -> set:
+    """(module, outermost function) of every call to ``name`` under ``src/``."""
+    root = Path(__file__).resolve().parent.parent / "src"
+    found = set()
+    for path in root.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if called == name:
+                        found.add((path.stem, getattr(top, "name", None)))
+    return found
+
+
+def test_one_cubature_wrapper_and_one_quad_driver():
+    assert _calls_by_enclosing_function("cubature") == {("gammafn", "_cubature")}
+    assert _calls_by_enclosing_function("quad") == {("mellin", "_log_window_quad")}
+
+
 # ----------------------------------------------------------------- mellin
 
 def test_mellin_gamma_example():
@@ -511,6 +583,21 @@ def test_mellin_convolve_divergent_pair_raises():
     # int_0^inf dp/p diverges at both ends; the doubling windows never settle
     with pytest.raises(DomainError, match="not converged"):
         mellin_convolve(lambda t: 1.0, lambda t: 1.0, 1.0)
+
+
+def test_mellin_inverse_calls_its_function_once_on_the_contour():
+    calls = []
+
+    def F(s):
+        calls.append(np.shape(s))
+        return gamma(s)
+
+    assert abs(mellin_inverse(F, 1.0, c=0.8, T=80.0) - np.exp(-1.0)) < 1e-14
+    assert len(calls) == 1 and np.prod(calls[0]) == 320 * 12  # 0.5-wide panels of 12 nodes
+    with pytest.raises(ValueError, match="T must be finite"):
+        mellin_inverse(gamma, 1.0, c=0.8, T=np.inf)
+    with pytest.raises(ValueError, match="c must be finite"):
+        mellin_inverse(gamma, 1.0, c=np.nan)
 
 
 def test_mellin_complex_argument():
