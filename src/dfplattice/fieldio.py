@@ -19,12 +19,12 @@ children in order and copies their files after it, so the bytes do not
 depend on the number of processes.  Where ``os.fork`` is missing, the one
 span is the whole range.
 
-CSV lines and JSON rows share one reader: numpy parses the rows into integer
+The reader takes the rows as text lines: numpy parses them into integer
 indices and float parts (an index such as ``1.5`` or ``1.0`` is refused, as
 ``int()`` refuses it), and one array check rejects mis-sized and repeated
 rows, site indices outside [0, N), mode numbers outside (-N/2, N/2] and
 blade masks outside [0, 4^n), with a ValueError that names the first bad
-CSV line or JSON row.
+CSV line.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import os
 import shutil
 import signal
 import tempfile
-from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -48,16 +47,11 @@ __all__ = [
     "write_field_csv",
     "read_field_csv",
     "field_to_json",
-    "field_from_json",
 ]
 
 
 def grid_to_dict(spec: GridSpec) -> dict:
     return {"n": spec.n, "h": spec.h, "alpha": str(spec.alpha), "N": spec.N}
-
-
-def _grid_from_dict(d: dict) -> GridSpec:
-    return GridSpec(int(d["n"]), float(d["h"]), Fraction(d["alpha"]), int(d["N"]))
 
 
 def _header(n: int) -> List[str]:
@@ -263,14 +257,6 @@ def field_to_json(field: Union[Field, MomentumField]) -> dict:
         "columns": _header(field.spec.n),
         "rows": [list(r) for r in _field_rows(field)],
     }
-
-
-def field_from_json(doc: dict):
-    spec = _grid_from_dict(doc["grid"])
-    # str() writes a JSON 1.5 or 1.0 as the CSV text would, so an index refuses it alike;
-    # an empty row is written "[]", so that it is refused, not skipped as a blank line
-    lines = [",".join(map(str, row)) or "[]" for row in doc["rows"]]
-    return _read_rows(lines, 1, spec, doc.get("kind") == "momentum", "JSON row")
 
 
 def dumps_json(doc: dict) -> str:

@@ -27,7 +27,7 @@ class GridSpec:
     """Periodic truncation of the fractional lattice.
 
     n     spatial dimension (1..3)
-    h     lattice spacing, finite and > 0
+    h     lattice spacing, finite and > 0, with the largest symbol 4n/h^2 finite
     alpha exact rational in [0, 1/2]; 0 and 1/2 are admitted limit cases
     N     sites per axis, even and >= 4
     """
@@ -42,6 +42,9 @@ class GridSpec:
             raise ValueError("dimension n must be 1, 2 or 3")
         if not 0 < self.h < np.inf:
             raise ValueError(f"spacing h must be finite and positive, got {self.h}")
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            if not np.isfinite(4.0 * self.n / np.float64(self.h) ** 2):
+                raise ValueError(f"spacing h = {self.h} is too small: the largest symbol 4n/h^2 must be finite")
         if not isinstance(self.alpha, Fraction):
             object.__setattr__(self, "alpha", Fraction(self.alpha))
         if not 0 <= self.alpha <= Fraction(1, 2):

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..lattice import Field, GridSpec
 from ..operators import laplacian_symbol, symbol_tables
-from ..specfun import DomainError, FoxWrightParams, fox_wright, mellin_transform
+from ..specfun import DomainError, FoxWrightParams, fox_wright, fox_wright_eval, mellin_transform
 from ..specfun.mellin import _contour
 from .evolution import _delta_kernel, _require_time, trig_factors
 from .params import ModelParams
@@ -47,7 +47,11 @@ __all__ = [
     "MellinBarnesResult",
 ]
 
-_TAIL_TOL = 1e-6  # a larger tail bound makes the status "tail-warning"
+_TAIL_TOL = 1e-6  # a larger tail bound raises DomainError
+# a 1Psi1 series of the Mellin routines refuses past this many terms, or where its
+# cancellation times the double epsilon could pass the tail tolerance
+_TERM_BUDGET = 500
+_CANCELLATION_BUDGET = _TAIL_TOL / np.finfo(float).eps
 
 
 def _check_beta(beta: int) -> int:
@@ -106,7 +110,9 @@ def _mellin_mode_multiplier(d2, omega, params: ModelParams, c0: float, beta: int
     """sqrt(pi) (mu/2)^beta / (2H) c0^{-(beta+omega)/(2H)} 1Psi1[...; -(mu^2 d2/4) c0^{-1/H}].
 
     ``omega`` may be an array broadcasting against ``d2``: the contour nodes
-    then form the series' parameter axis, summed in one call.
+    then form the series' parameter axis, summed in one call.  DomainError
+    where the series needs more than ``_TERM_BUDGET`` terms or an element's
+    cancellation exceeds ``_CANCELLATION_BUDGET``.
     """
     H = params.hurst
     series = FoxWrightParams(
@@ -114,12 +120,24 @@ def _mellin_mode_multiplier(d2, omega, params: ModelParams, c0: float, beta: int
         ((beta + 0.5, 1.0),),
     )
     lam = -(params.mu**2) * d2 / 4.0 * c0 ** (-1.0 / H)
+    res = fox_wright_eval(series, lam, max_terms=_TERM_BUDGET)
+    if np.any(res.status != "converged"):
+        raise DomainError(
+            f"Mellin-Barnes 1Psi1 series at |lam| = {np.max(np.abs(lam)):.4g} needs more than "
+            f"the budget of {_TERM_BUDGET} terms"
+        )
+    worst = float(np.max(res.cancellation))
+    if not worst <= _CANCELLATION_BUDGET:
+        raise DomainError(
+            f"Mellin-Barnes 1Psi1 series at |lam| = {np.max(np.abs(lam)):.4g}: cancellation {worst:.3e} "
+            f"exceeds the budget {_CANCELLATION_BUDGET:.3e} of the {_TAIL_TOL:g} tolerance"
+        )
     return (
         np.sqrt(np.pi)
         * (params.mu / 2.0) ** beta
         / (2.0 * H)
         * c0 ** (-(beta + omega) / (2.0 * H))
-        * fox_wright(series, lam)
+        * res.value
     )
 
 
@@ -165,7 +183,7 @@ def kernel_mellin_identity(
 class MellinBarnesResult:
     value: complex
     tail_bound: float
-    status: str  # "ok" | "tail-warning"
+    status: str  # "ok": a tail bound above _TAIL_TOL raises instead
 
 
 def mellin_barnes_kernel(
@@ -184,12 +202,17 @@ def mellin_barnes_kernel(
     (composite Gauss panels); c defaults to H - beta/2, midway inside the
     strip Re omega > -beta.  The 1Psi1 series of every (contour node,
     distinct d2) pair is summed in one Fox-Wright call over the node axis,
-    so each series still reports its own cancellation; panel weights and
+    one matrix product per block of terms on the driver's product path,
+    and each series still reports its own cancellation; panel weights and
     t^{-omega} contract it to one multiplier per mode, and the site is read
     from its inverse transform.  The integrand decays like
     exp(-pi |tau| / (4H)) through the Gamma factors; the reported tail bound
     extrapolates that decay from the site magnitude at the edge panels.
-    t, T and c must be finite and T > 1e-12 (ValueError).
+    t, T and c must be finite and T > 1e-12 (ValueError).  DomainError where
+    the tail bound exceeds ``_TAIL_TOL`` = 1e-6 or the contour sum is not
+    finite, and where a series needs more than ``_TERM_BUDGET`` terms or
+    loses more digits than ``_CANCELLATION_BUDGET`` allows; the last two
+    refuse before any contour sum, within one ``_TERM_BUDGET`` of work.
     """
     beta = _check_beta(beta)
     if not np.isfinite(t):
@@ -218,5 +241,9 @@ def mellin_barnes_kernel(
     edge_mag = float(np.max(np.abs(at_site[1:])))
     decay = np.pi / (4.0 * params.hurst)
     tail = 2.0 * edge_mag / decay / (2.0 * np.pi)
-    status = "ok" if tail <= _TAIL_TOL else "tail-warning"
-    return MellinBarnesResult(complex(value), float(tail), status)
+    if not (np.isfinite(value) and tail <= _TAIL_TOL):
+        raise DomainError(
+            f"Mellin-Barnes contour sum {value:.4g} at T = {T}: tail bound {tail:.3e} "
+            f"against the tolerance {_TAIL_TOL:g}"
+        )
+    return MellinBarnesResult(complex(value), float(tail), "ok")

@@ -16,11 +16,7 @@ from .wright import (
     wright_sinc,
 )
 from .levy import LevyValue, levy_laplace, levy_pdf, levy_pdf_eval
-from .hartman_watson import (
-    bessel_from_hartman_watson,
-    cancellation_floor,
-    hartman_watson_theta,
-)
+from .hartman_watson import bessel_from_hartman_watson, hartman_watson_theta
 from .mellin import mellin_convolve, mellin_inverse, mellin_transform
 
 __all__ = [
@@ -42,7 +38,6 @@ __all__ = [
     "levy_pdf_eval",
     "levy_laplace",
     "hartman_watson_theta",
-    "cancellation_floor",
     "bessel_from_hartman_watson",
     "mellin_transform",
     "mellin_inverse",

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gammafn import DomainError, _cubature
+from .gammafn import DomainError, _cubature, _require_finite
 
-__all__ = ["hartman_watson_theta", "cancellation_floor", "bessel_from_hartman_watson"]
+__all__ = ["hartman_watson_theta", "bessel_from_hartman_watson"]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 TAME_R = (0.5, 5.0)
@@ -33,7 +33,7 @@ TAME_P_MAX = 10.0
 _FLOOR_NOISE, _HEAD_SHARE, _LAPLACE_RTOL = 1e-5, 1e-3, 1e-6
 
 
-def cancellation_floor(r: float) -> float:
+def _cancellation_floor(r: float) -> float:
     """Smallest p at which float64 cancellation noise in theta_r stays under 1e-5.
 
     The peak integrand magnitude is ~ 0.08 r e^{-r} e^{pi^2/(2p)}, so noise
@@ -45,10 +45,11 @@ def cancellation_floor(r: float) -> float:
 
 def hartman_watson_theta(r: float, p: float | np.ndarray) -> float | np.ndarray:
     """theta_r(p) in the tame range (a float, or an array of p's shape); elsewhere DomainError."""
+    _require_finite(np.float64(r), "hartman_watson_theta argument r")
     p = np.asarray(p, dtype=float)
     if r <= 0.0 or not np.all(p > 0.0):
         raise DomainError("hartman_watson_theta requires r > 0 and p > 0")
-    floor = cancellation_floor(r)
+    floor = _cancellation_floor(r)
     outside = ~((floor <= p) & (p <= TAME_P_MAX))
     if not TAME_R[0] <= r <= TAME_R[1] or outside.any():
         raise DomainError(
@@ -87,7 +88,7 @@ def bessel_from_hartman_watson(k: int | np.ndarray, r: float) -> float | np.ndar
         raise DomainError(f"I_k(r) from Hartman-Watson requires r in [{TAME_R[0]}, {TAME_R[1]}], got r={r}")
     order = np.asarray(k, dtype=float)
     k2 = 0.5 * order.reshape(-1) ** 2
-    floor = cancellation_floor(r)
+    floor = _cancellation_floor(r)
 
     def integrand(x: np.ndarray) -> np.ndarray:
         w = x[:, 0]

@@ -2,7 +2,7 @@
 
 The series  sum_m  prod_k Gamma(a_k + A_k m) / prod_l Gamma(b_l + B_l m)
             * lam^m / m!
-is summed by one driver, ``_sum_series``, for a scalar or an array of
+is summed by one driver, ``fox_wright_eval``, for a scalar or an array of
 arguments.  A row value a_k or b_l may itself be an array: the rows then
 form a parameter axis that broadcasts against lam, and each element of the
 broadcast shape is the series of its own parameter set (the Mellin-Barnes
@@ -18,12 +18,36 @@ on Delta = sum B_l - sum A_k:
 
 The driver checks admissibility once per call, at the largest |lam|, takes
 the m = 0 terms from Gamma and 1/Gamma directly, and generates the terms
-m >= 1 in blocks of ``_BLOCK`` for the elements of a slab at once.  Slabs
-hold at most ``_SLAB`` elements, which bounds the block arrays whatever the
-size of the call; each block's coefficients are built once per parameter
-set that an unfinished element of the slab still uses, as a (terms x sets)
-array, and gathered per element.  A scalar row stays one value on a
-parameter axis, so its share of a block is one (terms x 1) column.
+m >= 1 in blocks of ``_BLOCK`` on one of two paths.
+
+Product path.  A call whose rows take the log-Gamma rule below (they are
+not all real, positive and of positive-integer weight) and whose parameter
+axis and lam form an outer product, every (set, lam) pair once, as the
+Mellin-Barnes contour's (nodes x 1) rows against the distinct lam.  Term m
+of set p at lam_j is C[m, p] lam_j^m: the coefficients depend on the set
+only and the powers on lam only, so each block is one matrix product of a
+(terms x sets) block of C, built from log-Gammas, and a (terms x lam) block
+of powers.  Every set's row and every lam's column is scaled by an exact
+power of two so that no factor exceeds 1, and no array spans more than one
+block of terms.  Each element keeps its partial sum, its sum of |term|
+(|C| times |powers|) and its largest block-end |partial sum| in units of
+2^e, e raised after every block to the exponent of the block's |term| sum.
+An element is done after a full block whose |term| sum lies below
+``_TERM_EPS`` times its largest block-end |partial sum|; every element takes
+the same K terms, K the block end at which the last element is done (the
+element of largest |lam|, in practice), or ``max_terms``, where the
+elements not done have status "max-terms".  ``terms_used`` is K, and the
+cancellation is sum |term| / |value|, a conservative bound on max |term| /
+|value|.  The sums run in another order than the slab path's, so the two
+agree to rounding, not bit for bit.
+
+Slab path, every other call: the elements of a slab are summed at once.
+Slabs hold at most ``_SLAB`` elements, which bounds the block arrays
+whatever the size of the call; each block's coefficients are built once per
+parameter set that an unfinished element of the slab still uses, as a
+(terms x sets) array, and gathered per element.  A scalar row stays one
+value on a parameter axis, so its share of a block is one (terms x 1)
+column, on both paths.
 
 * Coefficient rule, chosen per element.  When every row (v, w) has real
   v > 0 and a positive-integer weight w, and the element's lam is real,
@@ -36,9 +60,9 @@ parameter axis, so its share of a block is one (terms x 1) column.
   terms are exact zeros, numerator poles are genuine parameter
   singularities and raise.  An element whose ratio terms leave the double
   range is summed again from m = 1 with log-Gammas.  So an element's value
-  does not depend on the elements that share its call.  The block
-  coefficients depend on the parameters only; those of scalar rows are
-  cached.
+  does not depend on the elements that share its call, and an array call
+  equals per-element scalar calls bit for bit.  The block coefficients
+  depend on the parameters only; those of scalar rows are cached.
 * Rescale.  Each element's terms and partial sums are held in units of
   2^e, with e raised after every block to the binary exponent of the
   largest term so far; the rescale is an exact power of two, so nothing
@@ -46,9 +70,10 @@ parameter axis, so its share of a block is one (terms x 1) column.
 * Stopping rule.  An element stops after a full block whose terms all lie
   below ``_TERM_EPS`` times its largest block-end partial sum so far
   (status "converged"), or at ``max_terms`` ("max-terms").
-* Fields.  ``FoxWrightValue`` carries the value, the status and the
-  cancellation max|term| / |value| (its log10 is the digits lost) per
-  element, and ``terms_used``, the most terms any element took.
+
+``FoxWrightValue`` carries the value, the status and the cancellation (its
+log10 is the digits lost) per element, and ``terms_used``, the most terms
+any element took.
 """
 
 from __future__ import annotations
@@ -174,7 +199,8 @@ class FoxWrightValue:
     value: Union[complex, np.ndarray]
     status: Union[str, np.ndarray]           # "converged" | "max-terms"
     terms_used: int                          # the most terms any element took
-    cancellation: Union[float, np.ndarray]   # max |term| / |value|, the digits-lost indicator
+    # the digits-lost indicator: max |term| / |value| (slab path), sum |term| / |value| (product path)
+    cancellation: Union[float, np.ndarray]
 
 
 def _m0_term(params: FoxWrightParams):
@@ -252,8 +278,31 @@ def _narrow(rows, col):
     return tuple(tuple((v if np.ndim(v) == 0 else v[sets], w) for v, w in part) for part in rows), col
 
 
+def _exact_rows(params: FoxWrightParams) -> bool:
+    """Positive-integer weights with positive real rows: exact term ratios at a real lam."""
+    return all(
+        w == int(w) and w > 0 and np.all(np.imag(v) == 0.0) and np.all(np.real(v) > 0.0)
+        for v, w in params.upper + params.lower
+    )
+
+
+def _flat_rows(params: FoxWrightParams):
+    """The (upper, lower) rows over the flattened parameter axis, a scalar row kept scalar."""
+    return tuple(
+        tuple((v if np.ndim(v) == 0 else np.broadcast_to(v, params.shape).reshape(-1), w) for v, w in part)
+        for part in (params.upper, params.lower)
+    )
+
+
+def _ldexp(z: np.ndarray, e) -> np.ndarray:
+    """z 2^e for complex z, part by part, so no power of two is formed on its own (it may overflow)."""
+    out = np.empty(np.broadcast_shapes(z.shape, np.shape(e)), dtype=complex)
+    out.real, out.imag = np.ldexp(z.real, e), np.ldexp(z.imag, e)
+    return out
+
+
 def _sum_series(params: FoxWrightParams, lam: np.ndarray, pid: np.ndarray, max_terms: int):
-    """The series at every element of the 1-d complex array ``lam``.
+    """The slab path: the series at every element of the 1-d complex array ``lam``.
 
     Element j takes the parameter set ``pid[j]`` of the flattened parameter
     axis.  Returns the values, a converged flag and the cancellation per
@@ -261,18 +310,8 @@ def _sum_series(params: FoxWrightParams, lam: np.ndarray, pid: np.ndarray, max_t
     """
     params.check_admissible(np.abs(lam).max(initial=0.0))  # admissibility depends on |lam| only
     t0 = np.ravel(_m0_term(params))  # one per parameter set
-    # positive-integer weights with positive real rows admit exact term ratios at a real lam
-    exact_rows = all(
-        w == int(w) and w > 0 and np.all(np.imag(v) == 0.0) and np.all(np.real(v) > 0.0)
-        for v, w in params.upper + params.lower
-    )
-    # the rows over the flattened parameter axis, a scalar row kept scalar; None when every row is scalar
-    flat = None
-    if params.shape:
-        flat = tuple(
-            tuple((v if np.ndim(v) == 0 else np.broadcast_to(v, params.shape).reshape(-1), w) for v, w in part)
-            for part in (params.upper, params.lower)
-        )
+    exact_rows = _exact_rows(params)
+    flat = _flat_rows(params) if params.shape else None
     value = np.empty(lam.shape, dtype=complex)
     converged = np.ones(lam.shape, dtype=bool)
     cancellation = np.empty(lam.shape)
@@ -367,10 +406,52 @@ def _sum_slab(params, flat, lam, t0, pid, exact, max_terms):
                 rows, col = _narrow(rows, col)
         converged[live] = False  # left only when max_terms <= 1
         cancellation = peaks / np.abs(sums)
-        value = np.empty(lam.shape, dtype=complex)
-        value.real, value.imag = np.ldexp(sums.real, exps), np.ldexp(sums.imag, exps)
+        value = _ldexp(sums, exps)
     cancellation[lam == 0] = 1.0
     return value, converged, cancellation, m0, overflow
+
+
+def _sum_product(params: FoxWrightParams, lam: np.ndarray, max_terms: int):
+    """The product path: the series at every (parameter set, lam) pair, as (sets x lam) arrays.
+
+    ``lam`` is 1-d.  Returns the values, converged flags and cancellations,
+    and K.  A lam = 0 column is its m = 0 term, with cancellation 1.
+    """
+    params.check_admissible(np.abs(lam).max())  # admissibility depends on |lam| only
+    t0 = np.ravel(_m0_term(params))
+    value = np.repeat(t0[:, None], lam.size, axis=1)
+    converged, cancellation = np.ones(value.shape, dtype=bool), np.ones(value.shape)
+    nz = np.flatnonzero(lam)
+    rows, loglam = _flat_rows(params), np.log(lam[nz])
+    acc = value[:, nz]  # partial sums, in units of 2^e
+    mag = np.abs(acc)  # sums of |term|, the same units
+    top = mag.copy()  # largest block-end |partial sum|, the same units
+    e = np.zeros(acc.shape, dtype=int)
+    done = np.zeros(acc.shape, dtype=bool)
+    m0 = 1
+    with np.errstate(all="ignore"):
+        while nz.size and m0 < max_terms and not done.all():
+            stop = min(m0 + _BLOCK, max_terms)
+            m, logc = _coefficients(*rows, m0, stop, False)  # (terms x sets), -inf at each pole term
+            logp = m * loglam  # (terms x lam)
+            row_e = np.ceil(logc.real.max(axis=0) / _LN2)
+            row_e = np.where(np.isfinite(row_e), row_e, 0.0).astype(int)  # 0 for a set of pole terms only
+            col_e = np.ceil(logp.real.max(axis=0) / _LN2).astype(int)
+            c = np.exp(logc - row_e * _LN2)
+            pw = np.exp(logp - col_e * _LN2)
+            block, block_mag = c.T @ pw, np.abs(c).T @ np.abs(pw)  # in units of 2^(row_e + col_e)
+            unit = row_e[:, None] + col_e
+            up = np.where(block_mag > 0.0, np.maximum(unit + np.frexp(block_mag)[1] - e, 0), 0)
+            e, shift = e + up, unit - e - up
+            scale = np.ldexp(1.0, -up)
+            block_mag = np.ldexp(block_mag, shift)
+            acc = acc * scale + _ldexp(block, shift)
+            mag = mag * scale + block_mag
+            top = np.maximum(top * scale, np.abs(acc))
+            done |= (block_mag < _TERM_EPS * top) & (m.size == _BLOCK)
+            m0 = stop
+        value[:, nz], converged[:, nz], cancellation[:, nz] = _ldexp(acc, e), done, mag / np.abs(acc)
+    return value, converged, cancellation, m0
 
 
 def fox_wright_eval(
@@ -378,13 +459,22 @@ def fox_wright_eval(
 ) -> FoxWrightValue:
     """Evaluate the series with full status reporting, at a scalar or an array lam.
 
-    Array rows broadcast against lam; the result has the broadcast shape.
+    Array rows broadcast against lam; the result has the broadcast shape.  A
+    call whose rows take the log-Gamma rule and whose parameter axis and lam
+    form an outer product takes the product path, every other the slab path.
     """
     lam = _require_finite(np.asarray(lam, dtype=complex), "Fox-Wright argument lam")
-    # each element's index on the flattened parameter axis (0 for scalar rows)
-    lam, pid = np.broadcast_arrays(lam, np.arange(math.prod(params.shape)).reshape(params.shape))
-    shape = lam.shape
-    value, converged, cancellation, terms = _sum_series(params, lam.reshape(-1), pid.reshape(-1), max_terms)
+    sets = np.arange(math.prod(params.shape)).reshape(params.shape)
+    # each element's index on the flattened parameter axis (0 for scalar rows) and in the flattened lam
+    pid, lid = np.broadcast_arrays(sets, np.arange(lam.size).reshape(lam.shape))
+    shape = pid.shape
+    pid, lid, lam = pid.reshape(-1), lid.reshape(-1), lam.reshape(-1)
+    if params.shape and pid.size == sets.size * lam.size > 0 and not _exact_rows(params):
+        # each (set, lam) pair once: no axis of the broadcast pairs sets with lam element by element
+        value, converged, cancellation, terms = _sum_product(params, lam, max_terms)
+        value, converged, cancellation = value[pid, lid], converged[pid, lid], cancellation[pid, lid]
+    else:
+        value, converged, cancellation, terms = _sum_series(params, lam[lid], pid, max_terms)
     if not shape:
         status = "converged" if converged[0] else "max-terms"
         return FoxWrightValue(complex(value[0]), status, terms, float(cancellation[0]))

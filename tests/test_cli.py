@@ -298,7 +298,7 @@ def test_json_format_output(capsys):
     doc = json.loads(out)
     assert doc["kind"] == "field"
     assert doc["manifest"]["grid"]["N"] == 8
-    from dfplattice.fieldio import field_from_json
+    from test_fieldio import field_from_json
 
     field = field_from_json(doc)
     expect = dfp_evolve(
@@ -413,9 +413,11 @@ def test_subordinate_long_time_miss_exit_code(tmp_path, capsys):
         ["specfun", "--fn", "mittag-leffler", "--rho", "1", "--beta", "1", "--lambda", "inf"],
         ["specfun", "--fn", "levy-laplace", "--nu", "0.7", "--s-real", "inf"],
         ["kernel", "--points", "4", "--h", "inf", "--t", "0.5"],
+        ["kernel", "--points", "8", "--h", "1e-300", "--t", "0.5"],
+        ["specfun", "--fn", "hartman-watson", "--r", "inf", "--p", "1"],
     ],
     ids=["gamma-nan", "recip-gamma-inf", "bessel-nan", "bessel-inf", "wright-lam-nan", "wright-row-nan",
-         "mittag-leffler-inf", "levy-laplace-inf", "kernel-h-inf"],
+         "mittag-leffler-inf", "levy-laplace-inf", "kernel-h-inf", "kernel-h-symbols-overflow", "hartman-watson-r-inf"],
 )
 def test_non_finite_argument_exit_code(capsys, args):
     with warnings.catch_warnings():
@@ -424,6 +426,24 @@ def test_non_finite_argument_exit_code(capsys, args):
     assert code == 1
     assert out == ""
     assert "must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--points", "8", "--sigma2", "0.3", "--t", "0.3"], ["--points", "16", "--sigma2", "0.2", "--t", "0.5"],
+     ["--points", "64", "--sigma2", "0.1", "--t", "0.5"]],
+    ids=["n8-value-1e34", "n16-nan", "n64-151s"],
+)
+def test_mellin_barnes_inaccurate_contour_exit_code(capsys, args):
+    # these printed -1.27e34 against 1.01 with exit 0, NaN after 2.7 s, and NaN after 151 s
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            ["mellin-barnes", "--dim", "1", "--h", "0.5", "--alpha", "0", "--hurst", "0.6"] + args, capsys
+        )
+    assert code == 1
+    assert out == ""
+    assert "budget of 500 terms" in err
 
 
 def test_manifest_names_input_only_when_read(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from dfplattice.clifford import Multivector
 from dfplattice.lattice import Field, GridSpec, delta_h, mass, normalization_check, sesquilinear
+from dfplattice.operators import symbol_tables
 from dfplattice.spectral import MomentumField, momentum_sesquilinear
 
 from oracles import mv_product_oracle
@@ -34,6 +36,20 @@ def test_gridspec_validation():
 def test_gridspec_refuses_non_finite_spacing(h):
     with pytest.raises(ValueError, match="spacing h must be finite"):
         GridSpec(1, h, Fraction(1, 4), 8)
+
+
+@pytest.mark.parametrize("n, h", [(1, 1e-300), (1, 1e-154), (3, 2e-154)])
+def test_gridspec_refuses_a_spacing_whose_symbols_overflow(n, h):
+    # 1e-300 used to reach operators as "float division by zero"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"spacing h = {h} is too small"):
+            GridSpec(n, h, Fraction(1, 4), 8)
+
+
+def test_gridspec_admits_a_small_spacing_with_finite_symbols():
+    spec = GridSpec(3, 1e-150, Fraction(1, 4), 4)
+    assert np.isfinite(symbol_tables(spec).d2).all()
 
 
 def test_momentum_nodes_in_zone():

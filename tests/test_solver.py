@@ -1,4 +1,5 @@
 import hashlib
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from dfplattice.lattice import Field, GridSpec, delta_h, mass, normalization_check
 from dfplattice.operators import apply_dirac_symbol_arrays, dirac_apply, laplacian_apply, symbol_tables
-from dfplattice.specfun import DomainError, bessel_i_scaled, fox_wright, levy_laplace
+from dfplattice.specfun import DomainError, bessel_i_scaled, fox_wright_eval, levy_laplace
 from dfplattice.spectral import convolve
 from dfplattice.solver import (
     ModelParams,
@@ -460,11 +461,11 @@ def test_mellin_barnes_sums_the_contour_in_one_series_call(monkeypatch):
 
     calls = []
 
-    def counted(params, lam):
+    def counted(params, lam, max_terms):
         calls.append(params.shape)
-        return fox_wright(params, lam)
+        return fox_wright_eval(params, lam, max_terms)
 
-    monkeypatch.setattr(kernels, "fox_wright", counted)
+    monkeypatch.setattr(kernels, "fox_wright_eval", counted)
     res = mellin_barnes_kernel((0,), 0.5, SPEC16, ModelParams(1.0, 1.0, 0.8), 0)
     assert res.status == "ok"
     assert len(calls) == 1  # a per-node loop would make one call per contour node
@@ -491,9 +492,24 @@ def test_mellin_barnes_sine_kernel_t_zero():
 
 
 def test_mellin_barnes_tail_warning_status():
+    # a contour cut at T = 2 leaves a tail above the tolerance: refused, not flagged
     pr = ModelParams(mu=1.0, sigma2=1.0, hurst=0.8)
-    res = mellin_barnes_kernel((0,), 0.5, SPEC16, pr, 0, T=2.0)
-    assert res.status == "tail-warning"
+    with pytest.raises(DomainError, match=r"tail bound .* against the tolerance 1e-06"):
+        mellin_barnes_kernel((0,), 0.5, SPEC16, pr, 0, T=2.0)
+
+
+@pytest.mark.parametrize(
+    "N, h, sigma2, t, reason",
+    [(8, 0.5, 0.3, 0.3, "budget of 500 terms"), (16, 0.5, 0.2, 0.5, "budget of 500 terms"),
+     (64, 0.5, 0.1, 0.5, "budget of 500 terms"), (16, 1.0, 0.8, 0.5, "cancellation .* exceeds the budget")],
+)
+def test_mellin_barnes_refuses_series_past_its_budgets(N, h, sigma2, t, reason):
+    # the first three returned -1.27e34 for 1.01, NaN after 2.7 s, and NaN after 151 s
+    spec = GridSpec(1, h, Fraction(0), N)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=reason):
+        mellin_barnes_kernel((0,), t, spec, ModelParams(mu=1.0, sigma2=sigma2, hurst=0.6), 0)
+    assert time.perf_counter() - start < 5.0  # the budgets bound the work
 
 
 # --------------------------------------------------------- wilson constant

@@ -16,7 +16,6 @@ from dfplattice.specfun import (
     QuadratureError,
     bessel_from_hartman_watson,
     bessel_i_scaled,
-    cancellation_floor,
     fox_wright,
     fox_wright_eval,
     gamma,
@@ -36,6 +35,7 @@ from dfplattice.specfun import (
 from dfplattice.lattice import GridSpec
 from dfplattice.operators import symbol_tables
 from dfplattice.specfun.gammafn import _cubature
+from dfplattice.specfun.hartman_watson import _cancellation_floor
 from oracles import fox_wright_partial_sum, hartman_watson_theta_loop, levy_half_pdf
 
 
@@ -217,6 +217,7 @@ def mellin_axes(draw):
 
 @given(mellin_axes(), lam_arrays)
 def test_fox_wright_parameter_axis_matches_oracle(axis, lam):
+    # (P, 1) rows against (M,) lam: the product path
     a, A, b = axis
     res = fox_wright_eval(FoxWrightParams(((a, A),), ((b, 1.0),)), lam)
     shape = (a.shape[0], lam.size)
@@ -225,11 +226,12 @@ def test_fox_wright_parameter_axis_matches_oracle(axis, lam):
         upper = ((a[p, 0], A),)
         want, largest = fox_wright_partial_sum(upper, ((b, 1.0),), lam[j])
         assert abs(got - want) <= 1e-12 * largest
-        # the scalar call sums the same terms in the same order
+        # the scalar call takes the slab path: the same sum in another order
         single = fox_wright_eval(FoxWrightParams(upper, ((b, 1.0),)), lam[j])
-        assert got == single.value
-        assert res.cancellation[p, j] == single.cancellation
-        assert res.status[p, j] == single.status
+        assert abs(got - single.value) <= 1e-12 * largest
+        assert res.status[p, j] == single.status == "converged"
+        # sum |term| / |value| bounds the oracle's max |term| / |value| from above
+        assert res.cancellation[p, j] * (1.0 + 1e-12) >= largest / (abs(want) + 1e-12 * largest)
 
 
 @pytest.mark.parametrize("pole", [0.0, -1.0])
@@ -262,7 +264,12 @@ def _mellin_barnes_rows():
     return FoxWrightParams(((omega / 1.6, 1.25),), ((0.5, 1.0),)), -np.linspace(0.0, 3.0, 9) / 4.0
 
 
+def _no_slabs(*args):
+    raise AssertionError("a product-path call reached the slab path")
+
+
 def test_fox_wright_scalar_row_is_not_broadcast(monkeypatch):
+    # on the product path the lower row's log-Gammas are one (terms x 1) column per block
     from dfplattice.specfun import wright
 
     shapes = []
@@ -273,8 +280,62 @@ def test_fox_wright_scalar_row_is_not_broadcast(monkeypatch):
         return log_gamma(s)
 
     monkeypatch.setattr(wright, "log_gamma", recording)
+    monkeypatch.setattr(wright, "_sum_slab", _no_slabs)
     fox_wright_eval(*_mellin_barnes_rows())
     assert shapes and all(shape == (wright._BLOCK, 1) for shape in shapes)
+
+
+def test_fox_wright_product_path_takes_outer_products_only(monkeypatch):
+    from dfplattice.specfun import wright
+
+    calls = []
+    monkeypatch.setattr(wright, "_sum_product", lambda *args: calls.append(args) or _no_slabs())
+    # scalar rows (the Wright route and the Levy series), exact-ratio rows on an axis,
+    # and an axis paired element by element with lam all stay on the slab path
+    fox_wright_eval(FoxWrightParams((), ((0.5, 1.0),)), np.array([-1.0, 2.0j]))
+    fox_wright_eval(FoxWrightParams((), ((0.0, -0.5),)), np.array([-1.0, -2.0]))
+    fox_wright_eval(FoxWrightParams((), ((np.array([0.5, 1.5])[:, None], 1.0),)), np.array([-1.0, 2.0j]))
+    fox_wright_eval(FoxWrightParams(((np.array([0.7 + 2.0j, 0.9]), 1.25),), ((0.5, 1.0),)), np.array([-1.0, 2.0]))
+    assert not calls
+    with pytest.raises(AssertionError, match="slab"):
+        fox_wright_eval(*_mellin_barnes_rows())
+    assert len(calls) == 1
+
+
+def test_fox_wright_product_terms_grow_with_largest_lam():
+    rows, _ = _mellin_barnes_rows()
+    terms = []
+    for top in (0.5, 4.0, 16.0):
+        res = fox_wright_eval(rows, -np.linspace(0.0, top, 5))
+        assert np.all(res.status == "converged")
+        assert res.value.shape == (240, 5)
+        assert np.all(res.cancellation[:, 0] == 1.0)  # lam = 0 is its m = 0 term
+        terms.append(res.terms_used)
+    assert terms[0] < terms[1] < terms[2]
+
+
+def test_fox_wright_product_max_terms_status():
+    rows, lam = _mellin_barnes_rows()
+    res = fox_wright_eval(rows, lam, max_terms=10)
+    assert res.terms_used == 10
+    assert np.all(res.status[:, 0] == "converged")  # lam = 0
+    assert np.all(res.status[:, 1:] == "max-terms")
+    assert np.all(fox_wright_eval(rows, lam).status == "converged")
+
+
+def test_fox_wright_product_rescales_each_element():
+    # values from 1e-273 (Im a = -400 at lam = 1e-150) to 1e257 (lam = 600) in one call:
+    # no one power-of-two unit holds both, so each element keeps its own
+    a = (0.3 + 1j * np.array([-400.0, 0.0, 25.0]))[:, None]
+    lower = ((1.5, 1.0),)
+    lam = np.array([1e-150, -3.0, 40.0j, 600.0])
+    res = fox_wright_eval(FoxWrightParams(((a, 1.0),), lower), lam)
+    assert np.all(res.status == "converged")
+    for (p, j), got in np.ndenumerate(res.value):
+        single = fox_wright_eval(FoxWrightParams(((a[p, 0], 1.0),), lower), lam[j])
+        largest = single.cancellation * abs(single.value)
+        assert abs(got - single.value) <= 1e-12 * max(largest, abs(single.value))
+    assert abs(res.value[0, 0]) < 1e-270 and abs(res.value[1, 3]) > 1e250
 
 
 def test_fox_wright_rule_is_chosen_per_element():
@@ -456,7 +517,7 @@ def test_theta_refuses_outside_tame_range():
         hartman_watson_theta(1.0, 0.05)
     with pytest.raises(DomainError, match="p=0.05 is outside"):
         hartman_watson_theta(1.0, np.array([0.5, 0.05, 2.0]))
-    assert cancellation_floor(1.0) < 0.2
+    assert _cancellation_floor(1.0) < 0.2
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 5.0])
@@ -464,7 +525,7 @@ def test_theta_array_equals_scalar_calls(r):
     # the support ends at ymax = arccosh(80/r + 1) for these p: ymax/3 and ymax/7 put a
     # panel edge on it, and p = 7 > ymax is one panel cut short
     ymax = float(np.arccosh(80.0 / r + 1.0))
-    p = np.array([[cancellation_floor(r), 0.3, ymax / 7.0], [ymax / 3.0, 1.0, 7.0]])
+    p = np.array([[_cancellation_floor(r), 0.3, ymax / 7.0], [ymax / 3.0, 1.0, 7.0]])
     got = hartman_watson_theta(r, p)
     assert got.shape == p.shape
     want = np.array([[hartman_watson_theta(r, float(x)) for x in row] for row in p])
