@@ -411,6 +411,23 @@ def _sum_slab(params, flat, lam, t0, pid, exact, max_terms):
     return value, converged, cancellation, m0, overflow
 
 
+def _product_block(rows, loglam: np.ndarray, start: int, stop: int):
+    """Terms start..stop-1 of the product path: the (sets x lam) sums of the terms and of their
+    magnitudes, and the exponents of the power-of-two unit they are in.
+
+    The (terms x sets) arrays live only here, so one block's are freed before the next's are built.
+    """
+    m, logc = _coefficients(*rows, start, stop, False)  # (terms x sets), -inf at each pole term
+    logp = m * loglam  # (terms x lam)
+    row_e = np.ceil(logc.real.max(axis=0) / _LN2)
+    row_e = np.where(np.isfinite(row_e), row_e, 0.0).astype(int)  # 0 for a set of pole terms only
+    col_e = np.ceil(logp.real.max(axis=0) / _LN2).astype(int)
+    logc -= row_e * _LN2
+    c = np.exp(logc, out=logc)
+    pw = np.exp(logp - col_e * _LN2)
+    return c.T @ pw, np.abs(c).T @ np.abs(pw), row_e[:, None] + col_e
+
+
 def _sum_product(params: FoxWrightParams, lam: np.ndarray, max_terms: int):
     """The product path: the series at every (parameter set, lam) pair, as (sets x lam) arrays.
 
@@ -432,15 +449,7 @@ def _sum_product(params: FoxWrightParams, lam: np.ndarray, max_terms: int):
     with np.errstate(all="ignore"):
         while nz.size and m0 < max_terms and not done.all():
             stop = min(m0 + _BLOCK, max_terms)
-            m, logc = _coefficients(*rows, m0, stop, False)  # (terms x sets), -inf at each pole term
-            logp = m * loglam  # (terms x lam)
-            row_e = np.ceil(logc.real.max(axis=0) / _LN2)
-            row_e = np.where(np.isfinite(row_e), row_e, 0.0).astype(int)  # 0 for a set of pole terms only
-            col_e = np.ceil(logp.real.max(axis=0) / _LN2).astype(int)
-            c = np.exp(logc - row_e * _LN2)
-            pw = np.exp(logp - col_e * _LN2)
-            block, block_mag = c.T @ pw, np.abs(c).T @ np.abs(pw)  # in units of 2^(row_e + col_e)
-            unit = row_e[:, None] + col_e
+            block, block_mag, unit = _product_block(rows, loglam, m0, stop)
             up = np.where(block_mag > 0.0, np.maximum(unit + np.frexp(block_mag)[1] - e, 0), 0)
             e, shift = e + up, unit - e - up
             scale = np.ldexp(1.0, -up)
@@ -448,7 +457,7 @@ def _sum_product(params: FoxWrightParams, lam: np.ndarray, max_terms: int):
             acc = acc * scale + _ldexp(block, shift)
             mag = mag * scale + block_mag
             top = np.maximum(top * scale, np.abs(acc))
-            done |= (block_mag < _TERM_EPS * top) & (m.size == _BLOCK)
+            done |= (block_mag < _TERM_EPS * top) & (stop - m0 == _BLOCK)
             m0 = stop
         value[:, nz], converged[:, nz], cancellation[:, nz] = _ldexp(acc, e), done, mag / np.abs(acc)
     return value, converged, cancellation, m0
