@@ -200,14 +200,20 @@ def mellin_barnes_kernel(
     Integrates (1/2 pi) M{K_beta(site,.)}(c + i tau) t^{-c-i tau} over
     tau in [-T, T] with the contour rule of :func:`mellin_inverse`
     (composite Gauss panels); c defaults to H - beta/2, midway inside the
-    strip Re omega > -beta.  The 1Psi1 series of every (contour node,
+    strip Re omega > -beta.  mu, sigma2, H, t, c and d2 are real, so the
+    integrand at the conjugate node is the conjugate of its value (the Gamma
+    ratios, c0^{-omega/(2H)} and t^{-omega} each commute with conjugation),
+    and the contour, mirrored about the real axis, sums to twice the real
+    part of its upper half.  The 1Psi1 series of every (upper contour node,
     distinct d2) pair is summed in one Fox-Wright call over the node axis,
     one matrix product per block of terms on the driver's product path,
     and each series still reports its own cancellation; panel weights and
     t^{-omega} contract it to one multiplier per mode, and the site is read
     from its inverse transform.  The integrand decays like
     exp(-pi |tau| / (4H)) through the Gamma factors; the reported tail bound
-    extrapolates that decay from the site magnitude at the edge panels.
+    extrapolates that decay from the site magnitude at the upper edge panel,
+    which the lower one mirrors: the multipliers are even in xi, so a
+    conjugated multiplier gives the site's conjugate.
     t, T and c must be finite and T > 1e-12 (ValueError).  DomainError where
     the tail bound exceeds ``_TAIL_TOL`` = 1e-6 or the contour sum is not
     finite, and where a series needs more than ``_TERM_BUDGET`` terms or
@@ -229,12 +235,13 @@ def mellin_barnes_kernel(
         raise ValueError(f"site {tuple(site)} needs {spec.n} coordinates")
 
     d2, modes = np.unique(symbol_tables(spec).d2, return_inverse=True)
-    panel = omega.shape[1]
-    omega = omega.reshape(-1, 1)
-    # one series call over (contour nodes x distinct d2), each node times t^{-omega}
+    # the upper half of the contour: the lower half holds the conjugates of its values
+    upper = omega.shape[0] // 2
+    panel, omega, weights = omega.shape[1], omega[upper:].reshape(-1, 1), weights[upper:].reshape(1, -1)
+    # one series call over (upper contour nodes x distinct d2), each node times t^{-omega}
     vals = _mellin_mode_multiplier(d2, omega, params, _damping_constant(spec, params), beta) * t ** (-omega)
-    # multipliers per d2: the contour sum, then the nodes of the first and the last panel
-    rows = np.vstack((weights.reshape(1, -1) @ vals, vals[:panel], vals[-panel:]))
+    # multipliers per d2: the contour sum, then the nodes of the upper edge panel
+    rows = np.vstack((2.0 * (weights @ vals).real, vals[-panel:]))
     kernels = _delta_kernel(spec, rows[:, modes.reshape(spec.site_shape)])
     at_site = kernels[(slice(None),) + tuple(int(k) % spec.N for k in site)]
     value = at_site[0] / (2.0 * np.pi)

@@ -6,10 +6,15 @@ package relies on: ``gamma`` raises at the poles, ``recip_gamma`` is entire
 and returns exact zeros there (series over reciprocal Gammas then drop pole
 terms automatically).  Every ``scipy.integrate.cubature`` pass in the
 package runs through :func:`_cubature`, which returns an estimate only if
-the pass converged to it.  A non-finite argument raises DomainError.
+the pass converged to it.  Its rule is scipy's GK21 with one integrand call
+per region, on the Kronrod and Gauss nodes together, where scipy's own
+``"gk21"`` makes two; estimates, errors and subdivisions keep scipy's bits.
+A non-finite argument raises DomainError.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,12 +29,58 @@ class QuadratureError(DomainError):
     """An adaptive quadrature pass that did not reach its tolerance."""
 
 
+@lru_cache(maxsize=1)
+def _gk21_tables():
+    """Nodes (31 x 1) of the 21-point Kronrod rule then its 10 Gauss nodes, the Kronrod
+    weights, and the error weights (Kronrod, minus Gauss), all from scipy's own ``"gk21"`` rule."""
+    from scipy.integrate._rules import GaussKronrodQuadrature
+
+    kronrod = GaussKronrodQuadrature(21)
+    (kx, kw), (gx, gw) = kronrod.nodes_and_weights, kronrod.lower_nodes_and_weights
+    nodes = np.concatenate((kx, gx)).astype(float)[:, None]
+    return nodes, np.asarray(kw, dtype=float), np.concatenate((kw, -gw)).astype(float)
+
+
+class _GK21:
+    """scipy's one-dimensional ``"gk21"`` rule with one integrand call per region.
+
+    ``cubature`` asks each region for ``estimate`` and then ``estimate_error``;
+    the first evaluates f on the Kronrod and Gauss nodes together and keeps
+    the error for the second.  Both sums use scipy's arithmetic, so estimates,
+    errors and subdivisions keep their bits.  One object per pass.  A rule
+    object is not public scipy API; the test of these bits against
+    ``rule="gk21"`` guards the dependency.
+    """
+
+    def __init__(self):
+        self._region = self._error = None
+
+    def _sums(self, f, a, b, args):
+        nodes, kw, ew = _gk21_tables()
+        lengths = b - a
+        fx = f((nodes + 1) * (lengths * 0.5) + a, *args)
+        scale = np.prod(lengths, dtype=a.dtype) / 2
+        shape = (-1,) + (1,) * (fx.ndim - 1)
+        est = np.sum((kw * scale).reshape(shape) * fx[: kw.size], axis=0, dtype=a.dtype)
+        return est, np.abs(np.sum((ew * scale).reshape(shape) * fx, axis=0, dtype=a.dtype))
+
+    def estimate(self, f, a, b, args=()):
+        est, self._error = self._sums(f, a, b, args)
+        self._region = (a, b)
+        return est
+
+    def estimate_error(self, f, a, b, args=()):
+        if self._region is not None and all(map(np.array_equal, self._region, (a, b))):
+            return self._error
+        return self._sums(f, a, b, args)[1]
+
+
 def _cubature(f, a: float, b: float, what: str, **options) -> np.ndarray:
-    """One GK21 ``cubature`` pass over [a, b]; raises QuadratureError unless it converged
-    to an estimate larger than its error."""
+    """One GK21 ``cubature`` pass over [a, b], one call of f per region; raises
+    QuadratureError unless it converged to an estimate larger than its error."""
     from scipy.integrate import cubature
 
-    res = cubature(f, [a], [b], rule="gk21", **options)
+    res = cubature(f, [a], [b], rule=_GK21(), **options)
     err, size = float(np.max(res.error)), float(np.max(np.abs(res.estimate)))
     if res.status != "converged":
         raise QuadratureError(

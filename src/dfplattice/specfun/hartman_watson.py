@@ -14,7 +14,8 @@ cancellation floor, raises DomainError instead of returning noise.
 
 The Laplace identity int_0^inf e^{-k^2 p / 2} theta_r(p) dp = I_k(r) is the
 sole accuracy contract; :func:`bessel_from_hartman_watson` reconstructs the
-left side for an array of orders in one cubature pass from the floor up.
+left side for an array of orders in one cubature pass from the floor up,
+one theta call per region.
 """
 
 from __future__ import annotations

@@ -19,10 +19,11 @@ The density takes a scalar u or an array, evaluated in one pass per route:
   u -> 0) on a fixed composite Gauss grid precomputed per nu: one (u x grid)
   exponential and one product with the weights.
 
+The series row and its m = 0 term are built once per nu, as the grid is.
 The Laplace transform is one ``scipy.integrate.cubature`` pass (GK21, in v
-with u = Q v^4) over all the nodes of a subdivision and all s at once, the
-package's one integrator of int_0^inf e^{-s u} L_nu(u) du, accurate to 1e-12
-of the call's largest entry.
+with u = Q v^4) over all the nodes of a subdivision and all s at once, one
+density call per region, the package's one integrator of
+int_0^inf e^{-s u} L_nu(u) du, accurate to 1e-12 of the call's largest entry.
 """
 
 from __future__ import annotations
@@ -57,9 +58,15 @@ def _check_index(nu: float) -> float:
     return float(nu)
 
 
+@lru_cache(maxsize=32)
+def _series_params(nu: float) -> FoxWrightParams:
+    """The 0Psi1 row (0, -nu) of the series, shared per nu as the Zolotarev grid is."""
+    return FoxWrightParams((), ((0.0, -nu),))
+
+
 def _series(nu: float, u) -> np.ndarray:
     u = np.atleast_1d(u)
-    res = fox_wright_eval(FoxWrightParams((), ((0.0, -nu),)), -(u**-nu))
+    res = fox_wright_eval(_series_params(nu), -(u**-nu))
     if np.any(res.status != "converged"):
         raise DomainError(f"Levy series failed to converge at nu={nu}")
     worst = int(np.argmax(res.cancellation))

@@ -7,7 +7,9 @@ s as outside the fundamental strip and raise, as does a window that stops
 growing before the increments are small.  Multiplicative convolution runs on
 the same window driver, whose every piece is one scipy ``quad`` call with
 ``complex_func=True``.  Inversion sums the contour Re s = c with ``_contour``,
-the 12-point Gauss panels the Mellin-Barnes kernel reconstruction shares.
+the 12-point Gauss panels the Mellin-Barnes kernel reconstruction shares:
+the panels of [0, T] and their mirror image, so the nodes come in exact
+conjugate pairs and a real-analytic integrand may be summed on one half.
 """
 
 from __future__ import annotations
@@ -28,15 +30,22 @@ _PANEL_SLIVER = 1e-12  # a last panel narrower than this is dropped; T must exce
 
 
 def _contour(c: float, T: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes c + i tau and weights (panels x 12) of Gauss panels ending at T; c, T finite, T > 1e-12."""
+    """Nodes c + i tau and weights (panels x 12) of Gauss panels on [-T, T]; c, T finite, T > 1e-12.
+
+    The panels of [0, T] start at 0 and are mirrored onto [-T, 0], so the
+    nodes are exactly conjugate-symmetric: ``omega[::-1, ::-1]`` is
+    ``conj(omega)`` and the weights read the same backwards.  The upper half
+    is the second half of the rows.
+    """
     if not (np.isfinite(T) and T > _PANEL_SLIVER):
         raise ValueError(f"T must be finite and above {_PANEL_SLIVER}, got {T}")
     if not np.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")
-    lo = np.arange(-T, T - _PANEL_SLIVER, _PANEL_WIDTH)  # panel starts
+    lo = np.arange(0.0, T - _PANEL_SLIVER, _PANEL_WIDTH)  # panel starts on [0, T]
     half = 0.5 * (np.minimum(lo + _PANEL_WIDTH, T) - lo)[:, None]
     nodes, weights = np.polynomial.legendre.leggauss(12)
-    return c + 1j * (lo[:, None] + half * (nodes + 1.0)), half * weights
+    tau, w = lo[:, None] + half * (nodes + 1.0), half * weights
+    return c + 1j * np.vstack((-tau[::-1, ::-1], tau)), np.vstack((w[::-1, ::-1], w))
 
 
 def _log_window_quad(g: Callable[[float], complex], where: str) -> complex:

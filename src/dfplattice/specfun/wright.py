@@ -62,7 +62,9 @@ column, on both paths.
   range is summed again from m = 1 with log-Gammas.  So an element's value
   does not depend on the elements that share its call, and an array call
   equals per-element scalar calls bit for bit.  The block coefficients
-  depend on the parameters only; those of scalar rows are cached.
+  depend on the parameters only; those of scalar rows are cached, as is
+  their m = 0 term.  A block's log-Gamma coefficients are held in one
+  (terms x sets) array, built and pole-marked in place.
 * Rescale.  Each element's terms and partial sums are held in units of
   2^e, with e raised after every block to the binary exponent of the
   largest term so far; the rescale is an exact power of two, so nothing
@@ -203,7 +205,7 @@ class FoxWrightValue:
     cancellation: Union[float, np.ndarray]
 
 
-def _m0_term(params: FoxWrightParams):
+def _gamma_ratio(params: FoxWrightParams):
     """Gamma(a) / Gamma(b) products: a complex, or an array over the parameter axis."""
     out = 1.0 + 0.0j
     for a, _ in params.upper:
@@ -211,6 +213,15 @@ def _m0_term(params: FoxWrightParams):
     for b, _ in params.lower:
         out = out * recip_gamma(b)
     return out
+
+
+_scalar_gamma_ratio = lru_cache(maxsize=256)(_gamma_ratio)
+
+
+def _m0_term(params: FoxWrightParams):
+    """The m = 0 terms: one complex for scalar rows, cached as it depends on the parameters
+    only, or an array over the parameter axis."""
+    return _gamma_ratio(params) if params.shape else _scalar_gamma_ratio(params)
 
 
 def _coefficients(upper, lower, start: int, stop: int, exact: bool):
@@ -234,16 +245,24 @@ def _coefficients(upper, lower, start: int, stop: int, exact: bool):
     else:
         from scipy.special import gammaln
 
-        num = -gammaln(m + 1.0)
+        coef = -gammaln(m + 1.0)
         for a, A in upper:
-            num = num + log_gamma(a + A * m)
+            coef = _in_place(np.add, log_gamma(a + A * m), coef)
         den = 0.0
         for b, B in lower:
             den = den + log_gamma(b + B * m)
-        if not np.isfinite(num).all():
+        if not np.isfinite(coef).all():
             raise DomainError("Gamma pole among upper parameters a_k + A_k m")
-        coef = np.where(np.isfinite(den), num - den, -np.inf)
+        coef = _in_place(np.subtract, coef, den)
+        np.copyto(coef, -np.inf, where=~np.isfinite(den))  # denominator poles: exact zero terms
     return m, coef
+
+
+def _in_place(op, x: np.ndarray, y):
+    """op(x, y), written over the temporary x when it already has the result's shape and dtype,
+    so a block's (terms x sets) coefficients are held in one array."""
+    fits = x.shape == np.broadcast_shapes(x.shape, np.shape(y)) and x.dtype == np.result_type(x, y)
+    return op(x, y, out=x if fits else None)
 
 
 @lru_cache(maxsize=256)

@@ -469,7 +469,56 @@ def test_mellin_barnes_sums_the_contour_in_one_series_call(monkeypatch):
     res = mellin_barnes_kernel((0,), 0.5, SPEC16, ModelParams(1.0, 1.0, 0.8), 0)
     assert res.status == "ok"
     assert len(calls) == 1  # a per-node loop would make one call per contour node
-    assert calls[0][0] > 1000
+    # the upper half of the T = 40 contour: 80 panels of 12 nodes; the lower half is its conjugate
+    assert calls[0] == (80 * 12, 1)
+
+
+@pytest.mark.parametrize("beta", [0, 1])
+@pytest.mark.parametrize(
+    "spec, site",
+    [(SPEC16, (3,)), (GridSpec(1, 1.0, Fraction(1, 4), 64), (5,)), (GridSpec(2, 1.0, Fraction(1, 4), 8), (3, 1))],
+    ids=["1d-16", "1d-64", "2d-8"],
+)
+def test_mellin_barnes_half_contour_sum_equals_the_whole_contour_sum(spec, site, beta):
+    from dfplattice.solver.evolution import _delta_kernel
+    from dfplattice.solver.kernels import _damping_constant, _mellin_mode_multiplier
+    from dfplattice.specfun.mellin import _contour
+
+    pr, t = ModelParams(mu=1.0, sigma2=1.0, hurst=0.8), 0.5
+    omega, weights = _contour(pr.hurst - 0.5 * beta, 40.0)
+    d2, modes = np.unique(symbol_tables(spec).d2, return_inverse=True)
+    omega = omega.reshape(-1, 1)
+    # every node of the contour, the lower half included
+    vals = _mellin_mode_multiplier(d2, omega, pr, _damping_constant(spec, pr), beta) * t ** (-omega)
+    whole = _delta_kernel(spec, (weights.reshape(1, -1) @ vals)[0][modes.reshape(spec.site_shape)]) / (2.0 * np.pi)
+    scale = np.max(np.abs(whole))
+    for at in (site, (0,) * spec.n):
+        assert abs(mellin_barnes_kernel(at, t, spec, pr, beta).value - whole[at]) <= 1e-14 * scale
+
+
+@settings(max_examples=30)
+@given(
+    st.integers(1, 2),
+    st.sampled_from([4, 8, 16]),
+    st.sampled_from([0.5, 1.0]),
+    st.sampled_from([Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)]),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(0.1, 2.0),
+    st.floats(0.1, 2.0),
+    st.floats(0.1, 2.0),
+    st.integers(0, 1),
+    st.tuples(st.integers(0, 15), st.integers(0, 15)),
+)
+def test_mellin_barnes_meets_the_trig_route_or_raises(n, N, h, alpha, share, mu, sigma2, t, beta, ks):
+    # H anywhere in [alpha + 1/2, 0.99), the hypothesis of the 1Psi1 representation
+    hurst = float(alpha) + 0.5 + share * (0.49 - float(alpha))
+    spec, pr = GridSpec(n, h, alpha, N), ModelParams(mu, sigma2, hurst)
+    site = tuple(k % N for k in ks[:n])
+    try:
+        value = mellin_barnes_kernel(site, t, spec, pr, beta).value
+    except DomainError:
+        return
+    assert abs(value - kg_kernel(spec, t, pr, beta, "trig").values[(0,) + site]) <= 1e-3
 
 
 def test_mellin_barnes_integrand_decays():

@@ -36,6 +36,7 @@ from dfplattice.lattice import GridSpec
 from dfplattice.operators import symbol_tables
 from dfplattice.specfun.gammafn import _cubature
 from dfplattice.specfun.hartman_watson import _cancellation_floor
+from dfplattice.specfun.mellin import _contour
 from oracles import fox_wright_partial_sum, hartman_watson_theta_loop, levy_half_pdf
 
 
@@ -585,6 +586,65 @@ def test_cubature_error_not_below_its_estimate_raises():
         _cubature(peak, 0.0, 1.0, "peak", atol=1.0)
 
 
+def _pass_through(module, call):
+    """The integrand and options of the one ``_cubature`` pass that ``call()`` makes in ``module``."""
+    seen = []
+
+    def capture(f, a, b, what, **options):
+        seen.append((f, options))
+        return _cubature(f, a, b, what, **options)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_cubature", capture)
+        call()
+    (pass_,) = seen
+    return pass_
+
+
+def _cubature_case(name):
+    from dfplattice.specfun import hartman_watson, levy
+
+    if name == "kink-capped":
+        return lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)), {"rtol": 1e-14, "max_subdivisions": 3}
+    if name == "kink":
+        return lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)), {"rtol": 1e-6}
+    if name == "peak":
+        return lambda x: np.exp(-(((x - 0.5) / 1e-6) ** 2)), {"atol": 1.0}
+    if name == "levy-laplace":
+        return _pass_through(levy, lambda: levy_laplace(0.7, np.linspace(0.0, 30.0, 31)))
+    return _pass_through(hartman_watson, lambda: bessel_from_hartman_watson(np.arange(4), 1.0))
+
+
+@pytest.mark.parametrize("name", ["kink-capped", "kink", "peak", "levy-laplace", "hartman-watson"])
+def test_cubature_keeps_the_bits_of_scipy_gk21_with_one_call_per_region(name, monkeypatch):
+    import scipy.integrate
+
+    f, options = _cubature_case(name)
+    scipy_cubature, results, calls = scipy.integrate.cubature, [], []
+
+    def recorded(*args, **kwargs):
+        results.append(scipy_cubature(*args, **kwargs))
+        return results[-1]
+
+    def counted(x):
+        calls.append(x.shape)
+        return f(x)
+
+    monkeypatch.setattr(scipy.integrate, "cubature", recorded)
+    try:
+        _cubature(counted, 0.0, 1.0, name, **options)
+    except QuadratureError:
+        pass
+    (got,) = results
+    want = scipy_cubature(f, [0.0], [1.0], rule="gk21", **options)
+    assert np.array_equal(got.estimate, want.estimate) and np.array_equal(got.error, want.error)
+    assert (got.status, got.subdivisions) == (want.status, want.subdivisions)
+    # one call per region on the 21 Kronrod and 10 Gauss nodes: the first region, then two per subdivision
+    assert len(calls) == 1 + 2 * got.subdivisions and set(calls) == {(31, 1)}
+    if name in ("levy-laplace", "kink"):
+        assert got.subdivisions > 0
+
+
 # ------------------------------------------------ one evaluator per integral
 
 def _calls_by_enclosing_function(name: str) -> set:
@@ -659,6 +719,16 @@ def test_mellin_inverse_calls_its_function_once_on_the_contour():
         mellin_inverse(gamma, 1.0, c=0.8, T=np.inf)
     with pytest.raises(ValueError, match="c must be finite"):
         mellin_inverse(gamma, 1.0, c=np.nan)
+
+
+@pytest.mark.parametrize("T", [40.0, 80.0, 2.3, 0.3])
+def test_contour_is_conjugate_symmetric(T):
+    omega, weights = _contour(0.8, T)
+    assert np.array_equal(omega[::-1, ::-1], np.conj(omega))
+    assert np.array_equal(weights[::-1, ::-1], weights)
+    upper = omega[omega.shape[0] // 2 :].imag
+    assert upper.min() > 0.0 and upper.max() < T
+    assert weights.sum() == pytest.approx(2.0 * T, rel=1e-14)
 
 
 def test_mellin_complex_argument():
